@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
@@ -339,70 +340,144 @@ class TrajectoryRecord:
         }
 
 
-class _Engine:
-    """Precomputed multiplier tables and dealiased-product plans for one config."""
+def _dft_pair(K: int, R: int):
+    """E[x, k] = exp(2 pi i x k / R) for x < R, |k| <= K, and its real form E_re.
+
+    E_re has rows Re E[:, k], -Im E[:, k], so a complex block viewed as
+    interleaved (re, im) floats times E_re is Re(block @ E.T).
+    """
+    E = np.exp((sp.TWO_PI * 1j / R) * (np.outer(np.arange(R), np.arange(-K, K + 1)) % R))
+    return E, np.stack([E.real.T, -E.imag.T], axis=1).reshape(-1, R)
+
+
+class GridPass:
+    """Pi_M zeta(u) and the transport term V.grad u from one grid pass.
+
+    The stacked channels (u and, as needed, grad u and grad c) and the noise
+    velocity V = A sum theta_m dW^{m,j} q_{m,j} e^{2 pi i m.x}, which lives on
+    ||m||_inf <= N, go to point values on R = max(3M+1, 2M+N+1) points per
+    axis, where neither product aliases onto ||k||_inf <= M (the 2/3 rule).
+    The products come back in one forward transform.  The transforms are
+    pruned matrix DFTs, one matmul per axis: only 2M+1 (2N+1) frequencies go
+    in and 2M+1 come out, and on blocks this small that beats an FFT call.
+    """
+
+    def __init__(self, d: int, M: int, zeta: str = "none", noise=None):
+        """noise is None or the (theta, basis, A) of the transport term."""
+        self.d, self.M, self.zeta, self.center = d, M, zeta, (M,) * d
+        self.ksq = np.asarray(sp._ksq_grid(d, M))
+        self.grad = np.stack([sp.TWO_PI * 1j * g for g in sp._mode_grids(d, M)])
+        self.lap = 4.0 * np.pi**2 * self.ksq
+        if zeta == "keller_segel":
+            self.inv_lap = np.divide(1.0, self.lap, out=np.zeros_like(self.lap),
+                                     where=self.ksq > 0.0)
+        N = 0 if noise is None else int(np.max(np.abs(noise[0].half_modes)))
+        self.R = max(3 * M + 1, 2 * M + N + 1)
+        self._E, self._E_re = _dft_pair(M, self.R)
+        # forward: F = conj(E).T / R, and grids @ F_re viewed as complex is grids @ F.T
+        self._F, self._F_re = self._E.conj().T / self.R, self._E_re.T / self.R
+        self.theta = None
+        if noise is not None:
+            self.theta, basis, A = noise
+            half = self.theta.half_modes
+            # V_m = sum_j _vel_q[j, :, m] dW^{m,j} and V_{-m} = conj(V_m)
+            self._vel_q = (A * self.theta.half_values) * basis.q.transpose(1, 2, 0)
+            self._vel_at = [(slice(None),) + tuple((s * half + N).T) for s in (1, -1)]
+            self._vel_shape = (d,) + (2 * N + 1,) * d
+            self._E_vel, self._E_vel_re = _dft_pair(N, self.R)
+
+    def _to_grid(self, stack: np.ndarray, E: np.ndarray, E_re: np.ndarray) -> np.ndarray:
+        """Real point values (C, R, ..., R) of stacked coefficient blocks (C, n, ..., n)."""
+        C, n = stack.shape[:2]
+        for ax in range(self.d - 1):
+            stack = E @ stack.reshape(C * self.R**ax, n, -1)
+        grid = stack.reshape(-1, n).view(np.float64) @ E_re
+        return grid.reshape((C,) + (self.R,) * self.d)
+
+    def _from_grid(self, grids: np.ndarray) -> np.ndarray:
+        """Hermitian-exact coefficients on ||k||_inf <= M of stacked real grids."""
+        C, R, d = grids.shape[0], self.R, self.d
+        x = (grids.reshape(-1, R) @ self._F_re).view(np.complex128)
+        for ax in reversed(range(d - 1)):
+            x = self._F @ x.reshape(C * R**ax, R, -1)
+        x = x.reshape((C,) + (2 * self.M + 1,) * d)
+        out = 0.5 * (x + np.conj(x[(slice(None),) + (slice(None, None, -1),) * d]))
+        at0 = (slice(None),) + self.center
+        out[at0] = out[at0].real
+        return out
+
+    def _velocity(self, dw: np.ndarray) -> np.ndarray:
+        """Coefficients (d, 2N+1, ..., 2N+1) of V for the increments dw (n_half, d-1)."""
+        half = self._vel_q[0] * dw[:, 0]
+        for j in range(1, self.d - 1):
+            half += self._vel_q[j] * dw[:, j]
+        vel = np.zeros(self._vel_shape, dtype=np.complex128)
+        vel[self._vel_at[0]] = half
+        vel[self._vel_at[1]] = np.conj(half)
+        return vel
+
+    def zeta_block(self, block: np.ndarray, with_zeta: bool, dw=None):
+        """The grid pass: (Pi_M zeta(u) if with_zeta, transport block if dw is given).
+
+        The transport is taken in gradient form V.grad u, so a constant u
+        gives exactly 0; its mean mode, zero analytically (q.m = 0), is set
+        to exactly 0.
+        """
+        d = self.d
+        ks = with_zeta and self.zeta == "keller_segel"
+        chans = [block[None]] if with_zeta else []
+        if ks or dw is not None:
+            chans.append(self.grad * block)
+        if ks:
+            chans.append(self.grad * (block * self.inv_lap))
+        g = self._to_grid(np.concatenate(chans), self._E, self._E_re)
+        prods = np.empty((int(with_zeta) + (dw is not None),) + g.shape[1:])
+        if ks:
+            # -div(rho grad c) = rho (rho - mean rho) - grad rho . grad c
+            np.multiply(g[0], g[0] - block[self.center].real, out=prods[0])
+            for a in range(1, d + 1):
+                prods[0] -= g[a] * g[a + d]
+        elif with_zeta:
+            np.multiply(g[0], g[0], out=prods[0])
+        if dw is not None:
+            vel = self._to_grid(self._velocity(dw), self._E_vel, self._E_vel_re)
+            lo = int(with_zeta)
+            np.multiply(vel[0], g[lo], out=prods[-1])
+            for a in range(1, d):
+                prods[-1] += vel[a] * g[lo + a]
+        out = self._from_grid(prods)
+        if ks:  # a divergence: zero mean analytically
+            out[(0,) + self.center] = 0.0
+        if dw is not None:
+            out[(-1,) + self.center] = 0.0
+        zeta = (out[0] if ks else out[0] - block) if with_zeta else None
+        return zeta, (out[-1] if dw is not None else None)
+
+
+class _Engine(GridPass):
+    """Linear multipliers, norm weights and the grid pass of one config."""
 
     def __init__(self, cfg: SimConfig):
-        self.cfg = cfg
-        d, M = cfg.d, cfg.M
-        self.shape = (2 * M + 1,) * d
-        ksq = np.asarray(sp._ksq_grid(d, M))
-        lap = 4.0 * np.pi**2 * ksq
-        lap_pow = np.zeros_like(lap)
-        mask = ksq > 0.0
-        lap_pow[mask] = lap[mask] ** cfg.s
-        self.lin_mult = -lap_pow - cfg.b * lap
-        self.w_hs = (1.0 + ksq) ** cfg.s
-        self.w_hneg = (1.0 + ksq) ** (-cfg.gamma)
-        self.center = (M,) * d
-
-        self.R = sp.grid_resolution(M, dealias=True)
-        self._embed = sp._embed_index(M, self.R)
-        self._ix = np.ix_(*([self._embed] * d))
-        self._dense = np.zeros((self.R,) * d, dtype=np.complex128)
-
-        self.kgrids = [g.astype(np.float64) for g in sp._mode_grids(d, M)]
-        if cfg.zeta == "keller_segel":
-            self.inv_lap = np.where(ksq > 0.0, 1.0 / lap, 0.0)
-            self.inv_lap[self.center] = 0.0
-
+        noise = None
         if cfg.noise_N > 0:
-            self.theta = noise_mod.make_theta_cutoff(cfg.noise_N, d)
-            self.basis = noise_mod.build_noise_basis(self.theta)
-            self.A = noise_mod.amplitude_A(cfg.b, self.theta)
-            self.plan = noise_mod.TransportPlan(d, M, self.theta, self.basis)
-        else:
-            self.theta = None
+            theta = noise_mod.make_theta_cutoff(cfg.noise_N, cfg.d)
+            basis = noise_mod.build_noise_basis(theta)
+            noise = (theta, basis, noise_mod.amplitude_A(cfg.b, theta))
+        super().__init__(cfg.d, cfg.M, cfg.zeta, noise)
+        self.lin_mult = -(self.lap**cfg.s) - cfg.b * self.lap
+        self.w_hs = (1.0 + self.ksq) ** cfg.s
+        self.w_hneg = (1.0 + self.ksq) ** (-cfg.gamma)
 
-    def _to_grid(self, block: np.ndarray) -> np.ndarray:
-        self._dense[...] = 0.0
-        self._dense[self._ix] = block
-        return (np.fft.ifftn(self._dense) * self.R**self.cfg.d).real
-
-    def _from_grid(self, grid: np.ndarray) -> np.ndarray:
-        chat = np.fft.fftn(grid) / self.R**self.cfg.d
-        return sp.hermitianize(chat[self._ix])
-
-    def zeta_block(self, block: np.ndarray) -> np.ndarray:
-        kind = self.cfg.zeta
-        if kind == "fisher":
-            g = self._to_grid(block)
-            return self._from_grid(g * g) - block
-        # keller_segel
-        rho_g = self._to_grid(block)
-        pot = block * self.inv_lap
-        out = np.zeros_like(block)
-        for ax in range(self.cfg.d):
-            grad_g = self._to_grid(sp.TWO_PI * 1j * self.kgrids[ax] * pot)
-            flux = self._from_grid(rho_g * grad_g)
-            out -= sp.TWO_PI * 1j * self.kgrids[ax] * flux
-        return sp.hermitianize(out)
-
-    def drift_block(self, block: np.ndarray, lval: float) -> np.ndarray:
+    def drift_block(self, block: np.ndarray, lval: float, dw=None):
+        """(drift block, transport block or None) for this step's increments dw."""
         out = self.lin_mult * block
-        if self.cfg.zeta != "none" and lval != 0.0:
-            out = out + lval * self.zeta_block(block)
-        return out
+        with_zeta = self.zeta != "none" and lval != 0.0
+        if not with_zeta and dw is None:
+            return out, None
+        zeta, transport = self.zeta_block(block, with_zeta, dw)
+        if with_zeta:
+            out = out + lval * zeta
+        return out, transport
 
 
 def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
@@ -414,16 +489,22 @@ def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
     scheduling order.  Blow-up (L2 norm beyond cfg.blowup_threshold, or a
     non-finite field) ends the run and is recorded, not raised.
     """
+    steps = cfg.n_steps
+    classical = cfg.beta == 1.0
+    P = (2 * cfg.M + 1) ** cfg.d
+    need, have = steps * P * 16, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if not classical and need > have:
+        raise InvalidParameterError(
+            f"the fractional history needs {steps} steps x {P} modes x 16 B = "
+            f"{need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB of physical memory"
+        )
     eng = _Engine(cfg)
     u0_field = build_initial_field(cfg, initial_rng(cfg.seed, run_index))
     u0 = np.array(u0_field.coeffs)
     if math.sqrt(float(np.sum(np.abs(u0) ** 2))) >= cfg.blowup_threshold:
         raise InvalidParameterError("initial field norm must lie below blowup_threshold")
 
-    steps = cfg.n_steps
     dt = cfg.dt
-    classical = cfg.beta == 1.0
-    P = u0.size
     if not classical:
         c = kernel_increments(cfg.beta, dt, steps)
         g_hist = np.empty((steps, P), dtype=np.complex128)
@@ -477,11 +558,11 @@ def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
         if n == steps:
             break
 
-        g = eng.drift_block(u, lval)
+        dw = None
         if noise_on:
             bg.state = _philox_state(noise_key, n)
-            inc = noise_mod.sample_increments(eng.theta, dt, gen)
-            t_blk = eng.plan.apply(u, inc.values, eng.A)
+            dw = noise_mod.sample_increments(eng.theta, dt, gen).values
+        g, t_blk = eng.drift_block(u, lval, dw)
         if classical:
             u = u + dt * g
             if noise_on:
@@ -492,7 +573,7 @@ def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
             g_hist[n] = g.ravel()
             # u_{n+1} = u_0 + sum_{k<=n} c_{n+1-k} G_k
             conv = g_hist[: n + 1].T @ c[1 : n + 2][::-1]
-            u = (u0_flat + conv).reshape(eng.shape)
+            u = (u0_flat + conv).reshape(u0.shape)
 
     return TrajectoryRecord(
         times=times[:n_rec].copy(),

@@ -23,15 +23,25 @@ from .fractional import solve_caputo_scalar_ode
 
 
 def resolve_workers(explicit: Optional[int] = None) -> int:
-    """Worker count: explicit flag, else FRACSPDE_THREADS, else all cores."""
-    if explicit is not None:
-        if explicit < 1:
-            raise InvalidParameterError(f"worker count must be >= 1, got {explicit}")
-        return explicit
+    """Worker count: explicit flag, else FRACSPDE_THREADS, else all cores.
+
+    Capped at the cores this process may run on, so a large request does not
+    start that many processes.
+    """
     env = os.environ.get("FRACSPDE_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if explicit is None and env:
+        try:
+            explicit = max(1, int(env))
+        except ValueError:
+            raise InvalidParameterError(
+                f"FRACSPDE_THREADS must be an integer, got {env!r}") from None
+    if explicit is not None and explicit < 1:
+        raise InvalidParameterError(f"worker count must be >= 1, got {explicit}")
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:  # no affinity mask outside Linux
+        cores = os.cpu_count() or 1
+    return cores if explicit is None else min(explicit, cores)
 
 
 def detect_blowup(traj: dyn.TrajectoryRecord, threshold: float) -> Optional[float]:

@@ -3,8 +3,8 @@
 Divergence-free Fourier vector fields q_{m,j} e^{2 pi i m.x} with q.m = 0,
 symmetric theta amplitude sequences, complex Brownian increments with
 conjugate pairing, the isotropy identity that turns the Ito corrector into
-b*Laplace, and the spectral shift rule for the transport term
-A * sum theta_m (sigma_{m,j} . grad u) dW^{m,j}.
+b*Laplace, the transport term A * sum theta_m (sigma_{m,j} . grad u) dW^{m,j}
+and its spectral shift rule.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvalidParameterError, ShapeError
-from .spectral import TWO_PI, SpectralField, _mode_grids, hermitianize
+from .spectral import TWO_PI, SpectralField, hermitianize
 
 
 def canonical_pair_rep(m: Iterable[int]) -> tuple:
@@ -242,69 +242,6 @@ def sample_increments(
     return NoiseIncrements(dt=float(dt), half_modes=theta.half_modes, values=vals)
 
 
-class TransportPlan:
-    """Precomputed gather/multiplier tables for the transport shift rule.
-
-    The output coefficient at l collects 2 pi i (q_{m,j} . l) u_{l-m} over
-    the support (q.m = 0 lets q.(l-m) collapse to q.l), truncated to
-    ||l||_inf <= M.  Reused across steps by the integrator; the one-shot
-    transport_term wrapper builds a fresh plan.
-    """
-
-    def __init__(self, d: int, M: int, theta: ThetaSequence, basis: NoiseBasis):
-        _check_aligned(theta, basis)
-        if theta.d != d:
-            raise ShapeError(f"theta dimension {theta.d} does not match d = {d}")
-        self.d, self.M = d, M
-        self.theta = theta
-        self.basis = basis
-        self.pad = int(np.max(np.abs(theta.half_modes)))
-        nh = theta.n_half
-        side = 2 * M + 1
-        self.P = side**d
-
-        # interleaved full support: canonical rows at even, mirrors at odd
-        modes_full = np.empty((2 * nh, d), dtype=np.int64)
-        modes_full[0::2] = theta.half_modes
-        modes_full[1::2] = -theta.half_modes
-        self.theta_full = np.repeat(theta.half_values, 2)
-        self.q_full = np.repeat(basis.q, 2, axis=0)
-
-        lgrids = _mode_grids(d, M)
-        ql = np.zeros((2 * nh, d - 1, self.P))
-        for ax in range(d):
-            ql += self.q_full[:, :, ax, None] * lgrids[ax].ravel()[None, None, :]
-        self.ql = ql
-
-        # flat gather indices into the zero-padded block: u_{l-m}
-        pad_side = side + 2 * self.pad
-        local = np.stack(
-            [g.ravel() + M for g in _mode_grids(d, M)], axis=0
-        )  # (d, P) block offsets of l
-        self.gather = np.empty((2 * nh, self.P), dtype=np.int64)
-        for i, m in enumerate(modes_full):
-            coords = tuple(local[ax] + (self.pad - m[ax]) for ax in range(d))
-            self.gather[i] = np.ravel_multi_index(coords, (pad_side,) * d)
-        self._pad_shape = (pad_side,) * d
-        self._center = tuple(slice(self.pad, self.pad + side) for _ in range(d))
-        self._upad = np.zeros(self._pad_shape, dtype=np.complex128)
-
-    def apply(self, coeffs: np.ndarray, inc_values: np.ndarray, A: float) -> np.ndarray:
-        """Transport block A sum theta_m (sigma.grad u) dW, Hermitian-exact."""
-        self._upad[self._center] = coeffs
-        gathered = np.take(self._upad.ravel(), self.gather)  # (2 nh, P)
-        dw_full = np.empty((2 * self.theta.n_half, self.theta.d - 1), dtype=np.complex128)
-        dw_full[0::2] = inc_values
-        dw_full[1::2] = np.conj(inc_values)
-        w = (A * TWO_PI * 1j) * self.theta_full[:, None] * dw_full
-        if self.d == 2:
-            out = np.einsum("m,mp,mp->p", w[:, 0], self.ql[:, 0], gathered)
-        else:
-            cmat = np.einsum("mj,mjp->mp", w, self.ql)
-            out = np.einsum("mp,mp->p", cmat, gathered)
-        return hermitianize(out.reshape(coeffs.shape))
-
-
 def transport_term(
     u: SpectralField,
     theta: ThetaSequence,
@@ -314,13 +251,19 @@ def transport_term(
 ) -> SpectralField:
     """A sum_{m,j} theta_m (sigma_{m,j} . grad u) Delta W^{m,j}, truncated to M.
 
-    The result is exactly Hermitian-symmetric and has exactly zero mean mode
-    (q.m = 0 kills the l = 0 contribution).
+    Computed by the integrator's grid pass (dynamics.GridPass).  The result
+    is exactly Hermitian-symmetric and has exactly zero mean mode (q.m = 0
+    kills the l = 0 contribution).
     """
+    from .dynamics import GridPass  # dynamics imports this module
+
     if not np.array_equal(inc.half_modes, theta.half_modes):
         raise ShapeError("increments were not sampled on this theta support")
-    plan = TransportPlan(u.d, u.M, theta, basis)
-    return SpectralField(u.d, u.M, plan.apply(u.coeffs, inc.values, A))
+    _check_aligned(theta, basis)
+    if theta.d != u.d:
+        raise ShapeError(f"theta dimension {theta.d} does not match d = {u.d}")
+    kernel = GridPass(u.d, u.M, noise=(theta, basis, A))
+    return SpectralField(u.d, u.M, kernel.zeta_block(u.coeffs, False, inc.values)[1])
 
 
 def shift_gradient_apply(
@@ -329,7 +272,7 @@ def shift_gradient_apply(
     """Single vector-field action sigma_{m,q} . grad u at output cutoff M_out.
 
     Output coefficient at l is 2 pi i (q . (l - m)) u_{l-m}; used by the
-    corrector contraction and as a brute-force cross-check of the plan.
+    corrector contraction and as the brute-force oracle of transport_term.
     """
     d, M_in = u.d, u.M
     m = np.asarray(m, dtype=np.int64)

@@ -194,6 +194,14 @@ class TestCli:
         assert rc == 2
         assert "1/2" in capsys.readouterr().err
 
+    def test_non_integer_threads_env_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("FRACSPDE_THREADS", "two")
+        cfg_path = write_config(tmp_path, {"beta": 1.0})
+        rc = cli.main(["--out", str(tmp_path / "o"), "ensemble", "--config", str(cfg_path),
+                       "--runs", "2"])
+        assert rc == 2
+        assert "FRACSPDE_THREADS" in capsys.readouterr().err
+
     def test_ensemble_subcommand(self, tmp_path, capsys):
         cfg_path = write_config(
             tmp_path,

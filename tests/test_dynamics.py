@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fracspde import dynamics as dyn
+from fracspde import noise as nm
 from fracspde import spectral as sp
 from fracspde.errors import InvalidParameterError
 from fracspde.fractional import kernel_increments, mittag_leffler
@@ -113,6 +115,21 @@ def _brute_force_keller_segel(rho: sp.SpectralField) -> np.ndarray:
     return out
 
 
+class TestGridPass:
+    @pytest.mark.parametrize("d,M,N,zeta", [(3, 4, 2, "keller_segel"), (2, 4, 3, "fisher")])
+    def test_fused_pass_matches_field_path(self, d, M, N, zeta):
+        cfg = make_cfg(d=d, M=M, b=1.0, noise_N=N, zeta=zeta)
+        eng = dyn._Engine(cfg)
+        rng = np.random.default_rng(11)
+        u = sp.random_field(rng, d, M, 1.0, 1.0, mean=0.6)
+        inc = nm.sample_increments(eng.theta, 0.01, rng)
+        z, t = eng.zeta_block(u.coeffs, True, inc.values)
+        assert np.max(np.abs(z - dyn._ZETA_FUNCS[zeta](u).coeffs)) <= 1e-12
+        ref = nm.transport_term(u, eng.theta, nm.build_noise_basis(eng.theta), inc,
+                                nm.amplitude_A(cfg.b, eng.theta))
+        assert np.max(np.abs(t - ref.coeffs)) <= 1e-12
+
+
 class TestDrift:
     def test_pure_multiplier_mode(self):
         cfg = make_cfg(b=2.0, s=1.5)
@@ -147,6 +164,22 @@ class TestConfigValidation:
     def test_step_cap(self):
         with pytest.raises(InvalidParameterError, match="cap"):
             make_cfg(dt=1e-7, t_end=1.0)
+
+    def test_history_beyond_memory_refused_before_allocation(self, monkeypatch):
+        # d=3, M=8 at the step cap: the history needs 1e5 x 17^3 x 16 B = 7.9 GB
+        cfg = make_cfg(d=3, M=8, beta=0.9, zeta="fisher", dt=1e-5,
+                       t_end=dyn.MAX_STEPS * 1e-5)
+        assert cfg.n_steps == dyn.MAX_STEPS
+        pages = {"SC_PHYS_PAGES": 2**20, "SC_PAGE_SIZE": 4096}  # 4 GiB
+        monkeypatch.setattr(dyn.os, "sysconf", pages.__getitem__)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameterError, match="physical memory"):
+                dyn.integrate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_init_schema(self):
         with pytest.raises(InvalidParameterError):

@@ -202,7 +202,16 @@ class TestFisherMeanDichotomy:
 
 
 class TestWorkers:
-    def test_env_honored(self, monkeypatch):
+    """resolve_workers is checked directly; no test here starts a pool."""
+
+    @pytest.fixture
+    def cores(self, monkeypatch):
+        def set_cores(n):
+            monkeypatch.setattr(xp.os, "sched_getaffinity", lambda pid: set(range(n)))
+        return set_cores
+
+    def test_env_honored(self, monkeypatch, cores):
+        cores(8)
         monkeypatch.setenv("FRACSPDE_THREADS", "3")
         assert xp.resolve_workers(None) == 3
         assert xp.resolve_workers(2) == 2
@@ -210,3 +219,17 @@ class TestWorkers:
     def test_default_positive(self, monkeypatch):
         monkeypatch.delenv("FRACSPDE_THREADS", raising=False)
         assert xp.resolve_workers(None) >= 1
+
+    def test_capped_at_usable_cores(self, monkeypatch, cores):
+        cores(2)
+        monkeypatch.setenv("FRACSPDE_THREADS", "5000")
+        assert xp.resolve_workers(None) == 2
+        assert xp.resolve_workers(5000) == 2
+        monkeypatch.delenv("FRACSPDE_THREADS")
+        assert xp.resolve_workers(None) == 2
+
+    @pytest.mark.parametrize("value", ["two", "1.5", "4x"])
+    def test_non_integer_env_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("FRACSPDE_THREADS", value)
+        with pytest.raises(InvalidParameterError, match="FRACSPDE_THREADS"):
+            xp.resolve_workers(None)

@@ -199,23 +199,15 @@ class TestTransport:
         expect = A * 2j * math.pi * float(q @ np.array([1, 0]))
         assert t.coeff((1, 1)) == pytest.approx(expect, abs=1e-14)
 
-    def test_matches_bruteforce_shift_sum(self):
-        u, th, basis, inc = self._setup(d=2, M=4, N=2, seed=4)
-        A = 0.7
-        t = nm.transport_term(u, th, basis, inc, A)
-        acc = np.zeros_like(u.coeffs)
-        for i in range(th.n_half):
-            for sign in (1, -1):
-                m = sign * th.half_modes[i]
-                for j in range(th.d - 1):
-                    dw = inc.value(m, j)
-                    sg = nm.shift_gradient_apply(u, m, basis.q[i, j], u.M)
-                    acc += A * th.half_values[i] * dw * sg.coeffs
-        assert np.max(np.abs(acc - t.coeffs)) <= 1e-13
-
-    def test_matches_bruteforce_3d(self):
-        u, th, basis, inc = self._setup(d=3, M=2, N=1, seed=5)
-        A = 1.1
+    @pytest.mark.parametrize("d,M,N,seed,A", [
+        pytest.param(2, 4, 2, 4, 0.7, id="d2-M4-N2"),
+        pytest.param(3, 2, 1, 5, 1.1, id="d3-M2-N1"),
+        pytest.param(3, 4, 2, 8, 0.9, id="d3-M4-N2"),
+        # N > M: here 2M+N+1 = 9 > 3M+1 = 7 sets the grid
+        pytest.param(2, 2, 4, 9, 1.3, id="d2-M2-N4"),
+    ])
+    def test_matches_bruteforce_shift_sum(self, d, M, N, seed, A):
+        u, th, basis, inc = self._setup(d=d, M=M, N=N, seed=seed)
         t = nm.transport_term(u, th, basis, inc, A)
         acc = np.zeros_like(u.coeffs)
         for i in range(th.n_half):
