@@ -19,14 +19,14 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import noise as noise_mod
 from . import spectral as sp
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ShapeError
 from .fractional import kernel_increments, validate_order
 
 ZETA_KINDS = ("fisher", "keller_segel", "none")
@@ -37,6 +37,10 @@ MAX_STEPS = 100_000
 
 DEFAULT_GAMMA = 0.1
 DEFAULT_BLOWUP_THRESHOLD = 1.0e6
+
+#: the cast of each SimConfig field, by its (string) annotation; the config
+#: schema of io and the hashed canonical dict both follow the field list
+CONFIG_CASTS = {"int": int, "float": float, "str": str, "dict": dict}
 
 _MASK64 = (1 << 64) - 1
 
@@ -173,23 +177,7 @@ class SimConfig:
         return max(1, int(round(self.t_end / self.dt)))
 
     def canonical_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "M": self.M,
-            "s": float(self.s),
-            "beta": float(self.beta),
-            "b": float(self.b),
-            "S": float(self.S),
-            "gamma": float(self.gamma),
-            "dt": float(self.dt),
-            "t_end": float(self.t_end),
-            "zeta": self.zeta,
-            "noise_N": self.noise_N,
-            "seed": int(self.seed),
-            "blowup_threshold": float(self.blowup_threshold),
-            "snapshot_stride": self.snapshot_stride,
-            "init": self.init,
-        }
+        return {f.name: CONFIG_CASTS[f.type](getattr(self, f.name)) for f in fields(self)}
 
     def config_hash(self) -> str:
         """64-bit content hash of the canonicalized config (16 hex digits)."""
@@ -272,24 +260,18 @@ def cutoff_value(r: float, S: float) -> float:
 
 
 def zeta_fisher(u: sp.SpectralField) -> sp.SpectralField:
-    """Fisher-KPP nonlinearity u^2 - u, dealiased and truncated to M."""
-    sq = sp.multiply(u, u)
-    return sp.SpectralField(u.d, u.M, sq.coeffs - u.coeffs)
+    """Fisher-KPP nonlinearity u^2 - u, dealiased and truncated to M (the grid pass)."""
+    block = GridPass(u.d, u.M, "fisher").zeta_block(u.coeffs, True)[0]
+    return sp.SpectralField(u.d, u.M, block)
 
 
 def zeta_keller_segel(rho: sp.SpectralField) -> sp.SpectralField:
     """Chemotaxis coupling -div(rho * grad c) with -Laplace c = rho - mean(rho).
 
-    The potential solve drops the mean, the products are dealiased, and the
-    divergence is taken spectrally, so the output mean mode is exactly zero.
+    Computed by the grid pass, whose output mean mode is exactly zero.
     """
-    c = sp.laplacian_inverse(rho)
-    out = np.zeros_like(rho.coeffs)
-    grids = sp._mode_grids(rho.d, rho.M)
-    for ax, gc in enumerate(sp.gradient(c)):
-        flux = sp.multiply(rho, gc)
-        out -= sp.TWO_PI * 1j * grids[ax] * flux.coeffs
-    return sp.SpectralField(rho.d, rho.M, sp.hermitianize(out))
+    block = GridPass(rho.d, rho.M, "keller_segel").zeta_block(rho.coeffs, True)[0]
+    return sp.SpectralField(rho.d, rho.M, block)
 
 
 _ZETA_FUNCS = {"fisher": zeta_fisher, "keller_segel": zeta_keller_segel}
@@ -297,15 +279,10 @@ _ZETA_FUNCS = {"fisher": zeta_fisher, "keller_segel": zeta_keller_segel}
 
 def drift(u: sp.SpectralField, cfg: SimConfig) -> sp.SpectralField:
     """Full drift: -(-Laplace)^s u + b Laplace u + L_S(||u||_{H^-gamma}) Pi_M zeta(u)."""
-    out = sp.frac_laplacian_apply(u, cfg.s).coeffs.copy()
-    if cfg.b > 0.0:
-        out += cfg.b * sp.frac_laplacian_apply(u, 1.0).coeffs
-    if cfg.zeta != "none":
-        lval = cutoff_value(sp.sobolev_norm(u, -cfg.gamma), cfg.S)
-        if lval != 0.0:
-            zc = _ZETA_FUNCS[cfg.zeta](u)
-            out += lval * sp.project_modes(zc, cfg.M).coeffs
-    return sp.SpectralField(u.d, u.M, out)
+    if (u.d, u.M) != (cfg.d, cfg.M):
+        raise ShapeError(f"field has (d, M) = {(u.d, u.M)} but the config has {(cfg.d, cfg.M)}")
+    lval = cutoff_value(sp.sobolev_norm(u, -cfg.gamma), cfg.S)
+    return sp.SpectralField(u.d, u.M, _Engine(cfg).drift_block(u.coeffs, lval)[0])
 
 
 @dataclass
@@ -340,42 +317,28 @@ class TrajectoryRecord:
         }
 
 
-def _dft_pair(K: int, R: int):
-    """E[x, k] = exp(2 pi i x k / R) for x < R, |k| <= K, and its real form E_re.
-
-    E_re has rows Re E[:, k], -Im E[:, k], so a complex block viewed as
-    interleaved (re, im) floats times E_re is Re(block @ E.T).
-    """
-    E = np.exp((sp.TWO_PI * 1j / R) * (np.outer(np.arange(R), np.arange(-K, K + 1)) % R))
-    return E, np.stack([E.real.T, -E.imag.T], axis=1).reshape(-1, R)
-
-
-class GridPass:
+class GridPass(sp.GridTransform):
     """Pi_M zeta(u) and the transport term V.grad u from one grid pass.
 
     The stacked channels (u and, as needed, grad u and grad c) and the noise
     velocity V = A sum theta_m dW^{m,j} q_{m,j} e^{2 pi i m.x}, which lives on
     ||m||_inf <= N, go to point values on R = max(3M+1, 2M+N+1) points per
     axis, where neither product aliases onto ||k||_inf <= M (the 2/3 rule).
-    The products come back in one forward transform.  The transforms are
-    pruned matrix DFTs, one matmul per axis: only 2M+1 (2N+1) frequencies go
-    in and 2M+1 come out, and on blocks this small that beats an FFT call.
+    The products come back in one forward transform.  V has its own
+    GridTransform, so its work arrays never alias those of the channels.
     """
 
     def __init__(self, d: int, M: int, zeta: str = "none", noise=None):
         """noise is None or the (theta, basis, A) of the transport term."""
-        self.d, self.M, self.zeta, self.center = d, M, zeta, (M,) * d
+        N = 0 if noise is None else int(np.max(np.abs(noise[0].half_modes)))
+        super().__init__(d, M, max(3 * M + 1, 2 * M + N + 1))
+        self.zeta, self.center = zeta, (M,) * d
         self.ksq = np.asarray(sp._ksq_grid(d, M))
         self.grad = np.stack([sp.TWO_PI * 1j * g for g in sp._mode_grids(d, M)])
         self.lap = 4.0 * np.pi**2 * self.ksq
         if zeta == "keller_segel":
             self.inv_lap = np.divide(1.0, self.lap, out=np.zeros_like(self.lap),
                                      where=self.ksq > 0.0)
-        N = 0 if noise is None else int(np.max(np.abs(noise[0].half_modes)))
-        self.R = max(3 * M + 1, 2 * M + N + 1)
-        self._E, self._E_re = _dft_pair(M, self.R)
-        # forward: F = conj(E).T / R, and grids @ F_re viewed as complex is grids @ F.T
-        self._F, self._F_re = self._E.conj().T / self.R, self._E_re.T / self.R
         self.theta = None
         if noise is not None:
             self.theta, basis, A = noise
@@ -384,27 +347,7 @@ class GridPass:
             self._vel_q = (A * self.theta.half_values) * basis.q.transpose(1, 2, 0)
             self._vel_at = [(slice(None),) + tuple((s * half + N).T) for s in (1, -1)]
             self._vel_shape = (d,) + (2 * N + 1,) * d
-            self._E_vel, self._E_vel_re = _dft_pair(N, self.R)
-
-    def _to_grid(self, stack: np.ndarray, E: np.ndarray, E_re: np.ndarray) -> np.ndarray:
-        """Real point values (C, R, ..., R) of stacked coefficient blocks (C, n, ..., n)."""
-        C, n = stack.shape[:2]
-        for ax in range(self.d - 1):
-            stack = E @ stack.reshape(C * self.R**ax, n, -1)
-        grid = stack.reshape(-1, n).view(np.float64) @ E_re
-        return grid.reshape((C,) + (self.R,) * self.d)
-
-    def _from_grid(self, grids: np.ndarray) -> np.ndarray:
-        """Hermitian-exact coefficients on ||k||_inf <= M of stacked real grids."""
-        C, R, d = grids.shape[0], self.R, self.d
-        x = (grids.reshape(-1, R) @ self._F_re).view(np.complex128)
-        for ax in reversed(range(d - 1)):
-            x = self._F @ x.reshape(C * R**ax, R, -1)
-        x = x.reshape((C,) + (2 * self.M + 1,) * d)
-        out = 0.5 * (x + np.conj(x[(slice(None),) + (slice(None, None, -1),) * d]))
-        at0 = (slice(None),) + self.center
-        out[at0] = out[at0].real
-        return out
+            self._vel = sp.GridTransform(d, N, self.R)
 
     def _velocity(self, dw: np.ndarray) -> np.ndarray:
         """Coefficients (d, 2N+1, ..., 2N+1) of V for the increments dw (n_half, d-1)."""
@@ -421,7 +364,8 @@ class GridPass:
 
         The transport is taken in gradient form V.grad u, so a constant u
         gives exactly 0; its mean mode, zero analytically (q.m = 0), is set
-        to exactly 0.
+        to exactly 0.  Outputs may be views of work arrays that the next call
+        overwrites.
         """
         d = self.d
         ks = with_zeta and self.zeta == "keller_segel"
@@ -430,7 +374,7 @@ class GridPass:
             chans.append(self.grad * block)
         if ks:
             chans.append(self.grad * (block * self.inv_lap))
-        g = self._to_grid(np.concatenate(chans), self._E, self._E_re)
+        g = self._to_grid(np.concatenate(chans))
         prods = np.empty((int(with_zeta) + (dw is not None),) + g.shape[1:])
         if ks:
             # -div(rho grad c) = rho (rho - mean rho) - grad rho . grad c
@@ -440,7 +384,7 @@ class GridPass:
         elif with_zeta:
             np.multiply(g[0], g[0], out=prods[0])
         if dw is not None:
-            vel = self._to_grid(self._velocity(dw), self._E_vel, self._E_vel_re)
+            vel = self._vel._to_grid(self._velocity(dw))
             lo = int(with_zeta)
             np.multiply(vel[0], g[lo], out=prods[-1])
             for a in range(1, d):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import MISSING, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List
@@ -18,30 +19,14 @@ from typing import Dict, List
 import numpy as np
 
 from . import __version__
-from .dynamics import SimConfig, TrajectoryRecord
+from .dynamics import CONFIG_CASTS, SimConfig, TrajectoryRecord
 from .errors import InvalidParameterError
 from .experiments import DelayStudyResult, HypothesisReport, SurvivalCurve
 from .fractional import ScalarTrajectory
 from .spectral import field_to_bytes
 
-_CONFIG_KEYS = {
-    "d": int,
-    "M": int,
-    "s": float,
-    "beta": float,
-    "b": float,
-    "S": float,
-    "gamma": float,
-    "dt": float,
-    "t_end": float,
-    "zeta": str,
-    "noise_N": int,
-    "seed": int,
-    "blowup_threshold": float,
-    "snapshot_stride": int,
-    "init": dict,
-}
-_REQUIRED_KEYS = {"d", "M", "s", "beta", "b", "S", "dt", "t_end", "zeta", "init"}
+_CONFIG_KEYS = {f.name: CONFIG_CASTS[f.type] for f in fields(SimConfig)}
+_REQUIRED_KEYS = {f.name for f in fields(SimConfig) if f.default is MISSING}
 
 
 def _reject_duplicates(pairs):

@@ -238,7 +238,7 @@ def sample_increments(
     if dt <= 0.0:
         raise InvalidParameterError(f"dt must be positive, got {dt}")
     draws = rng.standard_normal((theta.n_half, theta.d - 1, 2))
-    vals = np.sqrt(dt) * (draws[..., 0] + 1j * draws[..., 1])
+    vals = np.sqrt(dt) * draws.view(np.complex128)[..., 0]
     return NoiseIncrements(dt=float(dt), half_modes=theta.half_modes, values=vals)
 
 

@@ -3,8 +3,8 @@
 A field u(x) = sum_k c_k exp(2*pi*i k.x) is stored through its coefficient
 block on the max-norm ball ||k||_inf <= M, with Hermitian symmetry
 c_{-k} = conj(c_k) keeping u real-valued.  Fourier-multiplier operators,
-Sobolev norms, and the grid transforms for dealiased pseudospectral products
-live here.
+Sobolev norms, and the pruned-DFT grid transforms (GridTransform, shared with
+the integrator) for dealiased pseudospectral products live here.
 """
 
 from __future__ import annotations
@@ -256,18 +256,79 @@ def _embed_index(M: int, resolution: int) -> np.ndarray:
     return np.arange(-M, M + 1) % resolution
 
 
+def _dft_pair(K: int, R: int):
+    """E[x, k] = exp(2 pi i x k / R) for x < R, |k| <= K, and its real form E_re.
+
+    E_re has rows Re E[:, k], -Im E[:, k], so a complex block viewed as
+    interleaved (re, im) floats times E_re is Re(block @ E.T).
+    """
+    E = np.exp((TWO_PI * 1j / R) * (np.outer(np.arange(R), np.arange(-K, K + 1)) % R))
+    return E, np.stack([E.real.T, -E.imag.T], axis=1).reshape(-1, R)
+
+
+class GridTransform:
+    """Pruned matrix DFTs between blocks on ||k||_inf <= M and R^d point values.
+
+    One matmul per axis: only the 2M+1 retained frequencies go in and come
+    out, and on blocks this small that beats an FFT call.  The last inverse
+    axis and the first forward axis run in real arithmetic on the interleaved
+    float view of the complex data.  Any R >= 2M+1 works; it is not rounded to
+    a power of two.  Each step writes into a work array of its own, allocated
+    on first use for its shape, so a returned array is valid only until the
+    next call on the same instance.
+    """
+
+    def __init__(self, d: int, M: int, R: int):
+        self.d, self.M, self.R = d, M, R
+        self._E, self._E_re = _dft_pair(M, R)
+        # forward: F = conj(E).T / R, and grids @ F_re viewed as complex is grids @ F.T
+        self._F, self._F_re = self._E.conj().T / R, self._E_re.T / R
+        self._work = {}
+
+    def _out(self, step, shape: tuple, dtype=np.complex128) -> np.ndarray:
+        """The work array of one transform step for this output shape."""
+        buf = self._work.get((step, shape))
+        if buf is None:
+            buf = self._work[step, shape] = np.empty(shape, dtype)
+        return buf
+
+    def _to_grid(self, stack: np.ndarray) -> np.ndarray:
+        """Real point values (C, R, ..., R) of stacked coefficient blocks (C, n, ..., n)."""
+        C, n, R = stack.shape[0], stack.shape[1], self.R
+        for ax in range(self.d - 1):
+            x = stack.reshape(C * R**ax, n, -1)
+            stack = np.matmul(self._E, x, out=self._out(ax, (len(x), R, x.shape[2])))
+        x = stack.reshape(-1, n).view(np.float64)
+        grid = np.matmul(x, self._E_re, out=self._out("grid", (len(x), R), np.float64))
+        return grid.reshape((C,) + (R,) * self.d)
+
+    def _from_grid(self, grids: np.ndarray) -> np.ndarray:
+        """Hermitian-exact coefficients on ||k||_inf <= M of stacked real grids."""
+        C, R, d, n = grids.shape[0], self.R, self.d, 2 * self.M + 1
+        g = grids.reshape(-1, R)
+        x = np.matmul(g, self._F_re, out=self._out("re", (len(g), 2 * n), np.float64))
+        x = x.view(np.complex128)
+        for ax in reversed(range(d - 1)):
+            x = x.reshape(C * R**ax, R, -1)
+            x = np.matmul(self._F, x, out=self._out(-1 - ax, (len(x), n, x.shape[2])))
+        x = x.reshape((C,) + (n,) * d)
+        out = self._out("herm", x.shape)
+        np.conjugate(x[(slice(None),) + (slice(None, None, -1),) * d], out=out)
+        out += x
+        out *= 0.5
+        at0 = (slice(None),) + (self.M,) * d
+        out[at0] = out[at0].real
+        return out
+
+
 def to_grid(f: SpectralField, dealias: bool = True, resolution: int | None = None) -> GridField:
-    """Evaluate the field on the equispaced grid via a zero-padded inverse FFT."""
+    """Evaluate the field on the equispaced grid (a GridTransform at that resolution)."""
     R = resolution if resolution is not None else grid_resolution(f.M, dealias)
     if R < (3 * f.M + 1 if dealias else 2 * f.M + 1):
         raise InvalidParameterError(
             f"resolution {R} too small for M = {f.M} (dealias={dealias})"
         )
-    dense = np.zeros((R,) * f.d, dtype=np.complex128)
-    idx = _embed_index(f.M, R)
-    dense[np.ix_(*([idx] * f.d))] = f.coeffs
-    vals = np.fft.ifftn(dense) * R**f.d
-    return GridField(f.d, R, vals.real)
+    return GridField(f.d, R, GridTransform(f.d, f.M, R)._to_grid(f.coeffs[None])[0])
 
 
 def from_grid(g: GridField, M: int) -> SpectralField:
@@ -276,10 +337,8 @@ def from_grid(g: GridField, M: int) -> SpectralField:
         raise InvalidParameterError(
             f"grid resolution {g.resolution} cannot represent modes up to M = {M}"
         )
-    chat = np.fft.fftn(g.values) / g.resolution**g.d
-    idx = _embed_index(M, g.resolution)
-    block = chat[np.ix_(*([idx] * g.d))]
-    return SpectralField(g.d, M, hermitianize(block))
+    block = GridTransform(g.d, M, g.resolution)._from_grid(g.values[None])[0]
+    return SpectralField(g.d, M, block)
 
 
 def multiply(f: SpectralField, g: SpectralField) -> SpectralField:

@@ -65,6 +65,15 @@ class TestParseConfig:
         b = io_mod.parse_config(p2)
         assert a.config_hash() == b.config_hash()
 
+    def test_hash_pinned(self):
+        # run directories are keyed by this hash, so it must not drift
+        raw = {
+            "d": 2, "M": 8, "s": 1.0, "beta": 0.9, "b": 0.5, "S": 10.0,
+            "dt": 2.5e-5, "t_end": 0.05, "zeta": "fisher", "noise_N": 2,
+            "init": {"mean": 0.5, "delta0": 0.01}, "seed": 1,
+        }
+        assert io_mod.parse_config_dict(raw).config_hash() == "21db0b978f866c3e"
+
 
 def small_record(seed=1, stride=0):
     cfg = dyn.SimConfig(

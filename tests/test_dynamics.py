@@ -7,7 +7,7 @@ import pytest
 from fracspde import dynamics as dyn
 from fracspde import noise as nm
 from fracspde import spectral as sp
-from fracspde.errors import InvalidParameterError
+from fracspde.errors import InvalidParameterError, ShapeError
 from fracspde.fractional import kernel_increments, mittag_leffler
 
 
@@ -95,28 +95,32 @@ class TestZeta:
         assert np.max(np.abs(z.coeffs - conv)) <= 1e-12
 
 
+def _dense_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Convolution of two coefficient blocks, truncated to the block."""
+    d, M = a.ndim, a.shape[0] // 2
+    out = np.zeros_like(a)
+    for k1 in np.ndindex(a.shape):
+        ka = np.array(k1) - M
+        for k2 in np.ndindex(b.shape):
+            ks = ka + np.array(k2) - M
+            if np.max(np.abs(ks)) <= M:
+                out[tuple(ks + M)] += a[k1] * b[k2]
+    return out
+
+
 def _brute_force_keller_segel(rho: sp.SpectralField) -> np.ndarray:
     """Dense convolution reference for -div(rho grad((-Lap)^-1(rho - mean)))."""
-    d, M = rho.d, rho.M
     pot = sp.laplacian_inverse(rho)
     out = np.zeros_like(rho.coeffs)
-    for ax in range(d):
-        gpot = sp.gradient(pot)[ax].coeffs
-        flux = np.zeros_like(out)
-        for k1 in np.ndindex(*(2 * M + 1,) * d):
-            ka = np.array(k1) - M
-            for k2 in np.ndindex(*(2 * M + 1,) * d):
-                kb = np.array(k2) - M
-                ks = ka + kb
-                if np.max(np.abs(ks)) <= M:
-                    flux[tuple(ks + M)] += rho.coeffs[k1] * gpot[k2]
-        lgrid = sp._mode_grids(d, M)[ax]
-        out -= sp.TWO_PI * 1j * lgrid * flux
+    for ax, gpot in enumerate(sp.gradient(pot)):
+        flux = _dense_product(rho.coeffs, gpot.coeffs)
+        out -= sp.TWO_PI * 1j * sp._mode_grids(rho.d, rho.M)[ax] * flux
     return out
 
 
 class TestGridPass:
-    @pytest.mark.parametrize("d,M,N,zeta", [(3, 4, 2, "keller_segel"), (2, 4, 3, "fisher")])
+    # N > M at d = 3: 2M+N+1 = 8 > 3M+1 = 7 sets the grid
+    @pytest.mark.parametrize("d,M,N,zeta", [(3, 2, 3, "keller_segel"), (2, 4, 3, "fisher")])
     def test_fused_pass_matches_field_path(self, d, M, N, zeta):
         cfg = make_cfg(d=d, M=M, b=1.0, noise_N=N, zeta=zeta)
         eng = dyn._Engine(cfg)
@@ -124,10 +128,27 @@ class TestGridPass:
         u = sp.random_field(rng, d, M, 1.0, 1.0, mean=0.6)
         inc = nm.sample_increments(eng.theta, 0.01, rng)
         z, t = eng.zeta_block(u.coeffs, True, inc.values)
-        assert np.max(np.abs(z - dyn._ZETA_FUNCS[zeta](u).coeffs)) <= 1e-12
+        if zeta == "keller_segel":
+            ref = _brute_force_keller_segel(u)
+        else:
+            ref = _dense_product(u.coeffs, u.coeffs) - u.coeffs
+        assert np.max(np.abs(z - ref)) <= 1e-12
         ref = nm.transport_term(u, eng.theta, nm.build_noise_basis(eng.theta), inc,
                                 nm.amplitude_A(cfg.b, eng.theta))
         assert np.max(np.abs(t - ref.coeffs)) <= 1e-12
+
+    @pytest.mark.parametrize("d,zeta", [(2, "fisher"), (3, "keller_segel")])
+    def test_reused_engine_matches_fresh_engine(self, d, zeta):
+        # the work arrays carry nothing from one call to the next
+        cfg = make_cfg(d=d, M=3, b=1.0, noise_N=2, zeta=zeta)
+        eng = dyn._Engine(cfg)
+        rng = np.random.default_rng(12)
+        u, v = (sp.random_field(rng, d, 3, 1.0, 1.0, mean=0.6).coeffs for _ in range(2))
+        dw_u, dw_v = (nm.sample_increments(eng.theta, 0.01, rng).values for _ in range(2))
+        eng.drift_block(u, 0.7, dw_u)
+        g, t = eng.drift_block(v, 0.7, dw_v)
+        g0, t0 = dyn._Engine(cfg).drift_block(v, 0.7, dw_v)
+        assert np.array_equal(g, g0) and np.array_equal(t, t0)
 
 
 class TestDrift:
@@ -150,6 +171,11 @@ class TestDrift:
         u = sp.mode_pair(2, 4, (1, 0))
         g = dyn.drift(u, cfg)
         assert g.coeff((1, 0)) == pytest.approx(-4 * math.pi**2, rel=1e-13)
+
+    def test_field_off_the_config_modes_refused(self):
+        cfg = make_cfg(zeta="fisher")
+        with pytest.raises(ShapeError, match=r"\(2, 6\).*\(2, 4\)"):
+            dyn.drift(sp.zeros(2, 6), cfg)
 
 
 class TestConfigValidation:

@@ -205,6 +205,9 @@ class TestTransport:
         pytest.param(3, 4, 2, 8, 0.9, id="d3-M4-N2"),
         # N > M: here 2M+N+1 = 9 > 3M+1 = 7 sets the grid
         pytest.param(2, 2, 4, 9, 1.3, id="d2-M2-N4"),
+        # M == N: the velocity and channel grids have equal shapes
+        pytest.param(2, 2, 2, 10, 0.8, id="d2-M2-N2"),
+        pytest.param(3, 2, 2, 11, 1.2, id="d3-M2-N2"),
     ])
     def test_matches_bruteforce_shift_sum(self, d, M, N, seed, A):
         u, th, basis, inc = self._setup(d=d, M=M, N=N, seed=seed)

@@ -150,6 +150,13 @@ class TestGridTransforms:
         back = sp.from_grid(sp.to_grid(f), f.M)
         assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-12
 
+    @pytest.mark.parametrize("d,M", [(2, 6), (3, 2)])
+    def test_roundtrip_odd_resolution(self, d, M):
+        # R = 3M+1 = 19 / 7: odd, not a power of two
+        f = random_field(23, d=d, M=M)
+        back = sp.from_grid(sp.to_grid(f, resolution=3 * M + 1), f.M)
+        assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-12
+
     def test_grid_is_real_valued(self):
         f = random_field(12)
         g = sp.to_grid(f)
