@@ -8,9 +8,12 @@ the explicit Volterra-Euler recursion
     u_n = u_0 + sum_{k<n} w[n][k] * (drift(u_k) + transport(u_k, dW_k) / dt)
 
 with the rl_kernel_weights rows, one Brownian path per trajectory (the
-increments of step k are reused by every later n).  At beta = 1 the weights
-are exactly dt and the recursion collapses to classical Euler-Maruyama,
-which is also how it is computed (incrementally, same partial sums).
+increments of step k are reused by every later n).  The history sum is kept
+by fractional.VolterraHistory: exact weights for the newest lags, a
+sum-of-exponentials fold of the tail, so a step costs O((window + K) P) and
+the memory does not grow with the step count.  At beta = 1 the weights are
+exactly dt and the recursion collapses to classical Euler-Maruyama, which is
+also how it is computed (incrementally, same partial sums).
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -27,12 +30,12 @@ import numpy as np
 from . import noise as noise_mod
 from . import spectral as sp
 from .errors import InvalidParameterError, ShapeError
-from .fractional import kernel_increments, validate_order
+from .fractional import VolterraHistory, kernel_increments, validate_order
 
 ZETA_KINDS = ("fisher", "keller_segel", "none")
 
-#: hard cap on t_end/dt; the quadratic Volterra history cost is accepted only
-#: at desk scale.
+#: hard cap on t_end/dt; the per-step records and the fractional memory's
+#: tail check grow with it.
 MAX_STEPS = 100_000
 
 DEFAULT_GAMMA = 0.1
@@ -398,14 +401,20 @@ class GridPass(sp.GridTransform):
         return zeta, (out[-1] if dw is not None else None)
 
 
+@lru_cache(maxsize=16)
+def _noise_support(N: int, d: int):
+    """(theta, basis) of the cut-off noise at radius N, shared by every run at that level."""
+    theta = noise_mod.make_theta_cutoff(N, d)
+    return theta, noise_mod.build_noise_basis(theta)
+
+
 class _Engine(GridPass):
     """Linear multipliers, norm weights and the grid pass of one config."""
 
     def __init__(self, cfg: SimConfig):
         noise = None
         if cfg.noise_N > 0:
-            theta = noise_mod.make_theta_cutoff(cfg.noise_N, cfg.d)
-            basis = noise_mod.build_noise_basis(theta)
+            theta, basis = _noise_support(cfg.noise_N, cfg.d)
             noise = (theta, basis, noise_mod.amplitude_A(cfg.b, theta))
         super().__init__(cfg.d, cfg.M, cfg.zeta, noise)
         self.lin_mult = -(self.lap**cfg.s) - cfg.b * self.lap
@@ -435,13 +444,6 @@ def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
     """
     steps = cfg.n_steps
     classical = cfg.beta == 1.0
-    P = (2 * cfg.M + 1) ** cfg.d
-    need, have = steps * P * 16, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if not classical and need > have:
-        raise InvalidParameterError(
-            f"the fractional history needs {steps} steps x {P} modes x 16 B = "
-            f"{need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB of physical memory"
-        )
     eng = _Engine(cfg)
     u0_field = build_initial_field(cfg, initial_rng(cfg.seed, run_index))
     u0 = np.array(u0_field.coeffs)
@@ -450,10 +452,8 @@ def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
 
     dt = cfg.dt
     if not classical:
-        c = kernel_increments(cfg.beta, dt, steps)
-        g_hist = np.empty((steps, P), dtype=np.complex128)
+        hist = VolterraHistory(kernel_increments(cfg.beta, dt, steps), u0.size)
     u = u0.copy()
-    u0_flat = u0.ravel()
 
     times = np.empty(steps + 1)
     l2 = np.empty(steps + 1)
@@ -468,7 +468,8 @@ def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
     noise_on = eng.theta is not None
     if noise_on:
         # one Philox per run, rekeyed per step: same streams as step_rng()
-        noise_key = mix_seed(cfg.seed, run_index, _TAG_NOISE)
+        philox = _philox_state(mix_seed(cfg.seed, run_index, _TAG_NOISE), 0)
+        step_key = philox["state"]["key"]
         bg = np.random.Philox(key=0)
         gen = np.random.Generator(bg)
     blew_up = False
@@ -504,7 +505,8 @@ def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
 
         dw = None
         if noise_on:
-            bg.state = _philox_state(noise_key, n)
+            step_key[1] = n
+            bg.state = philox
             dw = noise_mod.sample_increments(eng.theta, dt, gen).values
         g, t_blk = eng.drift_block(u, lval, dw)
         if classical:
@@ -514,10 +516,8 @@ def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
         else:
             if noise_on:
                 g = g + t_blk / dt
-            g_hist[n] = g.ravel()
             # u_{n+1} = u_0 + sum_{k<=n} c_{n+1-k} G_k
-            conv = g_hist[: n + 1].T @ c[1 : n + 2][::-1]
-            u = (u0_flat + conv).reshape(u0.shape)
+            u = u0 + hist.push(g).reshape(u0.shape)
 
     return TrajectoryRecord(
         times=times[:n_rec].copy(),

@@ -1,8 +1,9 @@
 """Fractional-calculus primitives.
 
 Memory-kernel quadrature weights for the Volterra form of the Caputo
-problem, Mittag-Leffler evaluation, and an explicit scalar solver for
-D_t^beta x = f(x).  The same convolution weights drive the PDE stepper in
+problem, the sum-of-exponentials history that applies them, Mittag-Leffler
+evaluation, and an explicit scalar solver for D_t^beta x = f(x).  The same
+convolution weights and history drive the PDE stepper in
 :mod:`fracspde.dynamics`, so the scalar solver doubles as its cheapest
 regression oracle.
 """
@@ -60,6 +61,145 @@ def kernel_increments(beta: float, dt: float, n: int) -> np.ndarray:
         c[1:] = (j[1:] ** beta - j[:-1] ** beta) * scale
     c[0] = 0.0
     return c
+
+
+#: lags 1.._EXACT_LAGS always use the exact c_j.
+_EXACT_LAGS = 16
+
+#: older lags are folded into the exponential modes _FOLD_BLOCK at a time.
+_FOLD_BLOCK = 64
+
+#: largest relative error of a compressed tail weight against the exact c_j.
+_TAIL_TOL = 1.0e-10
+
+#: lags per chunk of the tail check (keeps its temporaries under 1 MB).
+_CHECK_LAGS = 512
+
+#: Gauss points per quadrature panel, tried in turn until the tail check passes.
+_NODE_COUNTS = range(6, 17)
+
+
+def _gauss01(q: int, a: float):
+    """q-point Gauss rule (nodes, weights) for the weight u^a on [0, 1], a > -1.
+
+    Golub-Welsch on the Jacobi recurrence of (1+x)^a on [-1, 1], mapped to
+    u = (1+x)/2; a = 0 is Gauss-Legendre.
+    """
+    s = 2.0 * np.arange(q) + a
+    diag = np.full(q, a / (a + 2.0))
+    diag[1:] = a * a / (s[1:] * (s[1:] + 2.0))
+    n = np.arange(1.0, q)
+    off = 2.0 * n * (n + a) / (s[1:] * np.sqrt(s[1:] ** 2 - 1.0))
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return (1.0 + x) / 2.0, vec[0] ** 2 / (a + 1.0)
+
+
+def _tail_modes(beta: float, c1: float, steps: int, q: int):
+    """Nodes sigma_l and amplitudes a_l with c_j ~ sum_l a_l exp(-sigma_l (j-1)).
+
+    Quadrature of c_j = (sin(pi beta)/pi) dt^beta int_0^inf
+    sigma^(-beta-1) (1 - e^-sigma) e^(-sigma (j-1)) dsigma: a Gauss-Jacobi
+    rule for the sigma^-beta singularity on [0, 1/steps], then Gauss-Legendre
+    panels of unit width in ln(sigma) up to about 40/_EXACT_LAGS, past which
+    every lag beyond the exact window is below e^-40.
+    """
+    s0 = 1.0 / steps
+    u, w = _gauss01(q, -beta)
+    lo = s0 * u
+    w_lo = s0 ** (1.0 - beta) * w * -np.expm1(-lo) / lo
+    t, w = _gauss01(q, 0.0)
+    panels = math.ceil(math.log(40.0 / _EXACT_LAGS / s0))
+    hi = np.exp(math.log(s0) + np.arange(panels)[:, None] + t).ravel()
+    w_hi = np.tile(w, panels) * hi**-beta * -np.expm1(-hi)
+    # dt^beta = c_1 Gamma(beta+1)
+    scale = math.sin(math.pi * beta) / math.pi * c1 * math.gamma(beta + 1.0)
+    return np.concatenate([lo, hi]), scale * np.concatenate([w_lo, w_hi])
+
+
+def _tail_error(beta: float, c1: float, steps: int, sigma, amp) -> float:
+    """Largest relative error of the compressed weights over lags _EXACT_LAGS < j <= steps.
+
+    Measured against c_1 (j-1)^beta expm1(beta log1p(1/(j-1))), which is c_j
+    without the eps*j cancellation of j^beta - (j-1)^beta.
+    """
+    worst = 0.0
+    for j0 in range(_EXACT_LAGS + 1, steps + 1, _CHECK_LAGS):
+        lag = np.arange(j0 - 1, min(j0 + _CHECK_LAGS, steps + 1) - 1, dtype=np.float64)
+        exact = c1 * lag**beta * np.expm1(beta * np.log1p(1.0 / lag))
+        expo = np.multiply.outer(lag, -sigma)
+        approx = np.exp(expo, out=expo) @ amp
+        worst = max(worst, float(np.max(np.abs(approx - exact) / exact)))
+    return worst
+
+
+class VolterraHistory:
+    """Running Volterra sums conv_n = sum_{k<=n} c_{n+1-k} G_k of pushed rows G_k.
+
+    c holds the increments of kernel_increments(beta, dt, steps), beta < 1
+    (beta and dt^beta are read back from c_1 and c_2), and at most steps rows
+    are pushed.  The newest rows, G_F..G_n, stay in a window of at most
+    _EXACT_LAGS + _FOLD_BLOCK rows with the exact c_j.  Older rows are
+    folded, _FOLD_BLOCK at a time, into K exponential modes
+    S_l = sum_{k<F} exp(-sigma_l (F - k)) G_k, whose weights reproduce every
+    tail c_j to _TAIL_TOL relative (checked at construction).  A push costs
+    O((_EXACT_LAGS + _FOLD_BLOCK + K) P); the window's buffer of
+    _EXACT_LAGS + 2 _FOLD_BLOCK rows and the modes are all the memory,
+    whatever the step count.
+    """
+
+    def __init__(self, c: np.ndarray, P: int):
+        c = np.asarray(c, dtype=np.float64)
+        steps, n0, B = len(c) - 1, _EXACT_LAGS, _FOLD_BLOCK
+        self._rev = c[1 : n0 + B + 1][::-1].copy()  # c_{n0+B} .. c_1
+        self._buf = np.empty((n0 + 2 * B, P), dtype=np.complex128)
+        self._fbuf = self._buf.view(np.float64)
+        self._start = self._len = self.n_modes = 0
+        self._folded = False
+        if steps <= n0 + B:  # nothing ever leaves the exact window
+            return
+        beta = math.log2(1.0 + c[2] / c[1])
+        if not 0.0 < beta < 1.0:
+            raise InvalidParameterError(
+                f"a sum-of-exponentials memory needs 0 < beta < 1, got beta = {beta:.6g} "
+                f"and {steps} steps"
+            )
+        for q in _NODE_COUNTS:
+            sigma, amp = _tail_modes(beta, c[1], steps, q)
+            err = _tail_error(beta, c[1], steps, sigma, amp)
+            if err <= _TAIL_TOL:
+                break
+        else:
+            raise InvalidParameterError(
+                f"no sum-of-exponentials memory reaches {_TAIL_TOL:g} at beta = {beta:.6g} "
+                f"and {steps} steps (relative error {err:.2e} at {len(sigma)} modes)"
+            )
+        self.n_modes = len(sigma)
+        self._decay = np.exp(-B * sigma)[:, None]
+        self._fold = np.exp(-np.multiply.outer(sigma, np.arange(B, 0, -1.0)))
+        self._read = amp * np.exp(-np.multiply.outer(np.arange(n0, n0 + B), sigma))
+        self._modes = np.zeros((self.n_modes, 2 * P))
+
+    def push(self, g) -> np.ndarray:
+        """Store G_n (P values) and return conv_n as a (P,) complex array."""
+        n0, B = _EXACT_LAGS, _FOLD_BLOCK
+        if self._len == n0 + B:
+            # rows F..F+B-1 sit at lags > n0 from the next step on
+            old = self._fbuf[self._start : self._start + B]
+            self._modes *= self._decay
+            self._modes += self._fold @ old
+            self._start += B
+            self._len -= B
+            self._folded = True
+        if self._start + self._len == len(self._buf):
+            self._buf[: self._len] = self._buf[self._start :]
+            self._start = 0
+        self._buf[self._start + self._len] = np.ravel(g)
+        self._len += 1
+        W = self._len
+        out = self._rev[len(self._rev) - W :] @ self._fbuf[self._start : self._start + W]
+        if self._folded:
+            out += self._read[W - n0 - 1] @ self._modes
+        return out.view(np.complex128)
 
 
 def rl_kernel_weights(beta: float, dt: float, n: int) -> np.ndarray:
@@ -175,8 +315,8 @@ def solve_caputo_scalar_ode(
     """Explicit Volterra-Euler solve of D_t^beta x = rhs(x), x(0) = x0.
 
     The iterate is x_n = x_0 + sum_{k<n} w[n][k] * rhs(x_k) with the
-    rl_kernel_weights row; at beta = 1 this is exactly forward Euler.  The
-    full O(n^2) history cost is accepted; there is no kernel compression.
+    rl_kernel_weights row, summed by a VolterraHistory; at beta = 1 this is
+    exactly forward Euler.
 
     Blow-up (threshold crossing or a non-finite iterate) ends the solve and
     is reported on the trajectory, not raised.
@@ -195,24 +335,22 @@ def solve_caputo_scalar_ode(
     n_steps = max(1, int(round(t_end / dt)))
     values = np.empty(n_steps + 1)
     values[0] = x0
-    fs = np.empty(n_steps)
     blew_up = False
     blowup_time = None
     n_recorded = 1
 
     classical = beta == 1.0
     if not classical:
-        c = kernel_increments(beta, dt, n_steps)
+        hist = VolterraHistory(kernel_increments(beta, dt, n_steps), 1)
     running = 0.0
 
     for n in range(n_steps):
-        fs[n] = rhs(values[n])
+        f = rhs(values[n])
         if classical:
-            running += fs[n]
+            running += f
             x_next = x0 + dt * running
         else:
-            # w[n+1][k] = c_{n+1-k}  ->  dot against the reversed history
-            x_next = x0 + float(np.dot(c[1 : n + 2], fs[n::-1]))
+            x_next = x0 + float(hist.push(f)[0].real)
         t_next = (n + 1) * dt
         if not math.isfinite(x_next):
             blew_up = True

@@ -148,8 +148,11 @@ class NoiseBasis:
     q: np.ndarray  # shape (n_half, d-1, d)
 
     def __post_init__(self):
-        if self.q.shape != (self.half_modes.shape[0], self.d - 1, self.d):
+        q = np.array(self.q, dtype=np.float64)
+        if q.shape != (self.half_modes.shape[0], self.d - 1, self.d):
             raise ShapeError("basis array shape does not match its support")
+        q.flags.writeable = False
+        object.__setattr__(self, "q", q)
 
     def vectors(self, m: Iterable[int]) -> np.ndarray:
         """The d-1 orthonormal vectors for m (identical for m and -m)."""

@@ -1,10 +1,14 @@
-"""Independently coded classical Euler-Maruyama reference (d = 2, beta = 1).
+"""Independent references for the integrator.
 
-Shares only the initial field and the per-step Brownian draws with the
-production integrator; drift, nonlinearity (direct convolution, no FFT),
-cut-off, perpendicular vectors, amplitude, and the transport sum are all
-recoded from scratch with a different organization (per-mode shifted
+independent_euler_maruyama is a classical Euler-Maruyama reference (d = 2,
+beta = 1).  It shares only the initial field and the per-step Brownian draws
+with the production integrator; drift, nonlinearity (direct convolution, no
+FFT), cut-off, perpendicular vectors, amplitude, and the transport sum are
+all recoded from scratch with a different organization (per-mode shifted
 slices).  Used to pin the beta = 1 regression of the Volterra stepper.
+
+DenseHistory is the exact O(n^2) Volterra history with the interface of
+fractional.VolterraHistory; tests substitute it to get the exact path.
 """
 
 import math
@@ -84,3 +88,17 @@ def independent_euler_maruyama(cfg, run_index=0):
         u = u + cfg.dt * g + t_blk
         out.append(u.copy())
     return out
+
+
+class DenseHistory:
+    """conv_n = sum_{k<=n} c_{n+1-k} G_k over the full stored history, exact weights."""
+
+    def __init__(self, c, P):
+        self.c = np.asarray(c, dtype=np.float64)
+        self.hist = np.empty((len(self.c) - 1, P), dtype=np.complex128)
+        self.n = 0
+
+    def push(self, g):
+        self.hist[self.n] = np.ravel(g)
+        self.n += 1
+        return self.hist[: self.n].T @ self.c[1 : self.n + 1][::-1]

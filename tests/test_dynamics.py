@@ -191,21 +191,17 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameterError, match="cap"):
             make_cfg(dt=1e-7, t_end=1.0)
 
-    def test_history_beyond_memory_refused_before_allocation(self, monkeypatch):
-        # d=3, M=8 at the step cap: the history needs 1e5 x 17^3 x 16 B = 7.9 GB
-        cfg = make_cfg(d=3, M=8, beta=0.9, zeta="fisher", dt=1e-5,
-                       t_end=dyn.MAX_STEPS * 1e-5)
-        assert cfg.n_steps == dyn.MAX_STEPS
-        pages = {"SC_PHYS_PAGES": 2**20, "SC_PAGE_SIZE": 4096}  # 4 GiB
-        monkeypatch.setattr(dyn.os, "sysconf", pages.__getitem__)
+    def test_history_footprint_at_step_cap(self):
+        # d=3, M=8 at the step cap: a dense history would take 1e5 x 17^3 x 16 B = 7.9 GB
+        c = kernel_increments(0.9, 1e-5, dyn.MAX_STEPS)
         tracemalloc.start()
         try:
-            with pytest.raises(InvalidParameterError, match="physical memory"):
-                dyn.integrate(cfg)
+            hist = dyn.VolterraHistory(c, 17**3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2**20
+        assert hist.n_modes < 100
+        assert peak < 32 * 2**20
 
     def test_init_schema(self):
         with pytest.raises(InvalidParameterError):
@@ -308,6 +304,71 @@ class TestIntegrateStochastic:
         rec = dyn.integrate(cfg)
         assert [s for s, _ in rec.snapshots] == [0, 5, 10]
         assert rec.snapshots[0][1].coeff((1, 0)) == pytest.approx(1.0)
+
+
+class TestNoiseSetup:
+    def test_second_engine_reuses_noise_basis(self, monkeypatch):
+        cfg = make_cfg(d=3, M=2, b=1.0, noise_N=2, zeta="keller_segel")
+        dyn._Engine(cfg)
+        calls = []
+        build = nm.build_orthonormal_complement
+        monkeypatch.setattr(nm, "build_orthonormal_complement",
+                            lambda *a: calls.append(a) or build(*a))
+        dyn._Engine(cfg)
+        assert calls == []
+
+    def test_cached_noise_setup_bit_identical(self):
+        cfg = make_cfg(M=3, b=1.0, noise_N=2, zeta="fisher", t_end=0.02,
+                       init={"mean": 0.4, "delta0": 0.01}, snapshot_stride=20)
+        dyn._noise_support.cache_clear()
+        fresh = dyn.integrate(cfg)
+        cached = dyn.integrate(cfg)
+        assert np.array_equal(fresh.l2, cached.l2)
+        assert np.array_equal(fresh.snapshots[-1][1].coeffs, cached.snapshots[-1][1].coeffs)
+
+    def test_noise_basis_read_only(self):
+        # the cached basis is shared by every engine at its (N, d)
+        basis = nm.build_noise_basis(nm.make_theta_cutoff(2, 3))
+        with pytest.raises(ValueError):
+            basis.q[0, 0, 0] = 1.0
+
+    def test_rekeyed_draws_match_step_rng(self, monkeypatch):
+        cfg = make_cfg(M=2, b=1.0, noise_N=2, dt=1e-4, t_end=0.02, seed=13)
+        drawn = []
+        sample = nm.sample_increments
+        monkeypatch.setattr(nm, "sample_increments",
+                            lambda th, dt, gen: drawn.append(sample(th, dt, gen)) or drawn[-1])
+        dyn.integrate(cfg, run_index=4)
+        theta = nm.make_theta_cutoff(2, 2)
+        assert len(drawn) == cfg.n_steps == 200
+        for n, inc in enumerate(drawn):
+            ref = sample(theta, cfg.dt, dyn.step_rng(13, 4, n)).values
+            assert np.array_equal(inc.values, ref), f"step {n}"
+
+
+class TestFractionalHistory:
+    """integrate with the compressed history against the exact O(n^2) one."""
+
+    @pytest.mark.parametrize("kw", [
+        # the noisy fractional regime: beta = 0.9, N = 2, 2000 steps
+        dict(M=8, beta=0.9, b=0.5, noise_N=2, S=10.0, dt=2.5e-5, t_end=0.05, seed=3),
+        # 16k steps, deterministic
+        dict(M=2, beta=0.9, dt=2.5e-5, t_end=0.4, seed=9),
+    ], ids=["noisy-2000", "det-16000"])
+    def test_matches_dense_history(self, kw, monkeypatch):
+        from _reference import DenseHistory
+
+        cfg = make_cfg(zeta="fisher", init={"mean": 0.5, "delta0": 0.01},
+                       snapshot_stride=500, **kw)
+        rec = dyn.integrate(cfg)
+        monkeypatch.setattr(dyn, "VolterraHistory", DenseHistory)
+        ref = dyn.integrate(cfg)
+        assert not ref.blew_up and len(rec.times) == cfg.n_steps + 1
+        for name in ("l2", "hs", "hneg_gamma", "mean"):
+            a, b = getattr(rec, name), getattr(ref, name)
+            assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b)), name
+        for (_, got), (_, want) in zip(rec.snapshots, ref.snapshots):
+            assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-9 * np.max(np.abs(want.coeffs))
 
 
 class TestCutoffEquivalence:

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracspde import fractional
 from fracspde.errors import InvalidParameterError, OutOfRangeError, ShapeError
 from fracspde.fractional import (
+    VolterraHistory,
     comparison_oracle,
     kernel_increments,
     mittag_leffler,
@@ -58,6 +60,46 @@ class TestKernelWeights:
         c = kernel_increments(0.7, 0.1, 4)
         assert c[0] == 0.0
         assert np.array_equal(rl_kernel_weights(0.7, 0.1, 4), c[1:][::-1])
+
+
+class TestVolterraHistory:
+    # below the window, on the fold boundary (n0 + B = 80), one past it, at the
+    # buffer's first shift (n0 + 2B + 1 = 145) and well past it
+    STEPS = (50, 80, 81, 145, 1000)
+
+    @pytest.mark.parametrize("P", [1, 7])
+    @pytest.mark.parametrize("beta", [0.3, 0.51, 0.75, 0.9, 0.99])
+    def test_matches_dense_history(self, beta, P):
+        from _reference import DenseHistory
+
+        rng = np.random.default_rng(int(beta * 100) + P)
+        for steps in self.STEPS:
+            c = kernel_increments(beta, 1e-3, steps)
+            hist, dense = VolterraHistory(c, P), DenseHistory(c, P)
+            for n in range(steps):
+                # positive rows: no cancellation, so the error is the weight error
+                g = rng.random(P) + 1j * rng.random(P)
+                got, want = hist.push(g), dense.push(g)
+                assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), (steps, n)
+
+    def test_tail_folded_into_few_modes(self):
+        hist = VolterraHistory(kernel_increments(0.9, 2.5e-5, 2000), 1)
+        assert hist.n_modes <= 80
+
+    def test_uncompressible_kernel_refused(self):
+        # beta = 1 has no sum-of-exponentials tail (sin(pi beta) = 0)
+        with pytest.raises(InvalidParameterError, match=r"beta = 1 and 500 steps"):
+            VolterraHistory(kernel_increments(1.0, 1e-3, 500), 1)
+
+    def test_scalar_solver_matches_dense_history(self, monkeypatch):
+        from _reference import DenseHistory
+
+        rhs = lambda x: x * x - x
+        traj = solve_caputo_scalar_ode(rhs, 0.8, 0.9, 1e-3, 5.0)
+        monkeypatch.setattr(fractional, "VolterraHistory", DenseHistory)
+        ref = solve_caputo_scalar_ode(rhs, 0.8, 0.9, 1e-3, 5.0)
+        assert len(traj.values) == len(ref.values) == 5001
+        assert np.max(np.abs(traj.values - ref.values)) <= 1e-9 * np.max(np.abs(ref.values))
 
 
 class TestMittagLeffler:
