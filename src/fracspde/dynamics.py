@@ -348,56 +348,74 @@ class GridPass(sp.GridTransform):
             half = self.theta.half_modes
             # V_m = sum_j _vel_q[j, :, m] dW^{m,j} and V_{-m} = conj(V_m)
             self._vel_q = (A * self.theta.half_values) * basis.q.transpose(1, 2, 0)
-            self._vel_at = [(slice(None),) + tuple((s * half + N).T) for s in (1, -1)]
-            self._vel_shape = (d,) + (2 * N + 1,) * d
+            self._vel_pm = np.empty((2,) + self._vel_q.shape[1:], dtype=np.complex128)
+            # zero off the support +-half, which every call rewrites in full
+            self._vel_block = np.zeros((d,) + (2 * N + 1,) * d, dtype=np.complex128)
+            # flat positions in _vel_block of _vel_pm = (V_m, V_{-m}), component-major
+            idx = np.stack([half, -half]) + N  # block indices of (m, -m), (2, n_half, d)
+            at = (np.arange(d)[:, None],) + tuple(idx[:, None, :, a] for a in range(d))
+            self._vel_at = np.ravel_multi_index(np.broadcast_arrays(*at),
+                                                self._vel_block.shape).ravel()
             self._vel = sp.GridTransform(d, N, self.R)
 
     def _velocity(self, dw: np.ndarray) -> np.ndarray:
-        """Coefficients (d, 2N+1, ..., 2N+1) of V for the increments dw (n_half, d-1)."""
-        half = self._vel_q[0] * dw[:, 0]
+        """Coefficients (d, 2N+1, ..., 2N+1) of V for the increments dw (n_half, d-1).
+
+        The result is a work array that the next call overwrites.
+        """
+        pm = self._vel_pm
+        np.multiply(self._vel_q[0], dw[:, 0], out=pm[0])
         for j in range(1, self.d - 1):
-            half += self._vel_q[j] * dw[:, j]
-        vel = np.zeros(self._vel_shape, dtype=np.complex128)
-        vel[self._vel_at[0]] = half
-        vel[self._vel_at[1]] = np.conj(half)
-        return vel
+            pm[0] += np.multiply(self._vel_q[j], dw[:, j], out=pm[1])
+        np.conjugate(pm[0], out=pm[1])
+        self._vel_block.reshape(-1)[self._vel_at] = pm.reshape(-1)
+        return self._vel_block
 
     def zeta_block(self, block: np.ndarray, with_zeta: bool, dw=None):
         """The grid pass: (Pi_M zeta(u) if with_zeta, transport block if dw is given).
 
         The transport is taken in gradient form V.grad u, so a constant u
         gives exactly 0; its mean mode, zero analytically (q.m = 0), is set
-        to exactly 0.  Outputs may be views of work arrays that the next call
+        to exactly 0.  Outputs are views of work arrays that the next call
         overwrites.
         """
         d = self.d
         ks = with_zeta and self.zeta == "keller_segel"
-        chans = [block[None]] if with_zeta else []
-        if ks or dw is not None:
-            chans.append(self.grad * block)
+        # channels: [u if with_zeta] [grad u from lo] [grad c from hi, Keller-Segel]
+        lo = int(with_zeta)
+        hi = lo + d * (ks or dw is not None)
+        chans = self._out("chans", (hi + d * ks,) + block.shape)
+        if with_zeta:
+            chans[0] = block
+        if hi > lo:
+            np.multiply(self.grad, block, out=chans[lo:hi])
         if ks:
-            chans.append(self.grad * (block * self.inv_lap))
-        g = self._to_grid(np.concatenate(chans))
-        prods = np.empty((int(with_zeta) + (dw is not None),) + g.shape[1:])
+            c = np.multiply(block, self.inv_lap, out=self._out("c", block.shape))
+            np.multiply(self.grad, c, out=chans[hi:])
+        g = self._to_grid(chans)
+        prods = self._out("prods", (lo + (dw is not None),) + g.shape[1:], np.float64)
+        tmp = self._out("prod_tmp", g.shape[1:], np.float64)
         if ks:
             # -div(rho grad c) = rho (rho - mean rho) - grad rho . grad c
-            np.multiply(g[0], g[0] - block[self.center].real, out=prods[0])
+            np.subtract(g[0], block[self.center].real, out=tmp)
+            np.multiply(g[0], tmp, out=prods[0])
             for a in range(1, d + 1):
-                prods[0] -= g[a] * g[a + d]
+                prods[0] -= np.multiply(g[a], g[a + d], out=tmp)
         elif with_zeta:
             np.multiply(g[0], g[0], out=prods[0])
         if dw is not None:
             vel = self._vel._to_grid(self._velocity(dw))
-            lo = int(with_zeta)
             np.multiply(vel[0], g[lo], out=prods[-1])
             for a in range(1, d):
-                prods[-1] += vel[a] * g[lo + a]
+                prods[-1] += np.multiply(vel[a], g[lo + a], out=tmp)
         out = self._from_grid(prods)
         if ks:  # a divergence: zero mean analytically
             out[(0,) + self.center] = 0.0
         if dw is not None:
             out[(-1,) + self.center] = 0.0
-        zeta = (out[0] if ks else out[0] - block) if with_zeta else None
+        zeta = None
+        if with_zeta:
+            zeta = out[0] if ks else np.subtract(out[0], block, out=self._out("zeta", block.shape))
         return zeta, (out[-1] if dw is not None else None)
 
 
@@ -418,18 +436,25 @@ class _Engine(GridPass):
             noise = (theta, basis, noise_mod.amplitude_A(cfg.b, theta))
         super().__init__(cfg.d, cfg.M, cfg.zeta, noise)
         self.lin_mult = -(self.lap**cfg.s) - cfg.b * self.lap
-        self.w_hs = (1.0 + self.ksq) ** cfg.s
-        self.w_hneg = (1.0 + self.ksq) ** (-cfg.gamma)
+        # (x*x) @ norm_w on the interleaved float view x of a block gives its
+        # squared L2, H^s and H^-gamma norms
+        w = np.stack([np.ones_like(self.ksq), (1.0 + self.ksq) ** cfg.s,
+                      (1.0 + self.ksq) ** (-cfg.gamma)], axis=-1)
+        self.norm_w = np.repeat(w.reshape(-1, 3), 2, axis=0)
 
     def drift_block(self, block: np.ndarray, lval: float, dw=None):
-        """(drift block, transport block or None) for this step's increments dw."""
-        out = self.lin_mult * block
+        """(drift block, transport block or None) for this step's increments dw.
+
+        Both are views of work arrays that the next call overwrites.
+        """
+        out = np.multiply(self.lin_mult, block, out=self._out("drift", block.shape))
         with_zeta = self.zeta != "none" and lval != 0.0
         if not with_zeta and dw is None:
             return out, None
         zeta, transport = self.zeta_block(block, with_zeta, dw)
         if with_zeta:
-            out = out + lval * zeta
+            zeta *= lval
+            out += zeta
         return out, transport
 
 
@@ -453,18 +478,17 @@ def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
     dt = cfg.dt
     if not classical:
         hist = VolterraHistory(kernel_increments(cfg.beta, dt, steps), u0.size)
-    u = u0.copy()
+    u = u0.copy()  # updated in place, so its float view x stays valid
+    x = u.reshape(-1).view(np.float64)
+    xsq = np.empty_like(x)
+    norm_w = eng.norm_w
+    at_mean = 2 * int(np.ravel_multi_index(eng.center, u.shape))
 
-    times = np.empty(steps + 1)
-    l2 = np.empty(steps + 1)
-    hs = np.empty(steps + 1)
-    hneg = np.empty(steps + 1)
-    mean = np.empty(steps + 1)
-    cut = np.empty(steps + 1)
+    # per recorded step: time, l2, hs, hneg_gamma, mean, cutoff
+    table = np.empty((steps + 1, 6))
     snapshots: List[Tuple[int, sp.SpectralField]] = []
+    stride = cfg.snapshot_stride
 
-    w_hs = eng.w_hs
-    w_hneg = eng.w_hneg
     noise_on = eng.theta is not None
     if noise_on:
         # one Philox per run, rekeyed per step: same streams as step_rng()
@@ -478,23 +502,17 @@ def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
 
     for n in range(steps + 1):
         t_n = n * dt
-        absq = u.real**2 + u.imag**2
-        l2sq = float(np.sum(absq))
+        l2sq, hs_sq, hneg_sq = (np.multiply(x, x, out=xsq) @ norm_w).tolist()
         l2_n = math.sqrt(l2sq)
         if not math.isfinite(l2_n):
             blew_up = True
             blowup_time = t_n
             break
-        hneg_n = math.sqrt(float(np.sum(w_hneg * absq)))
+        hneg_n = math.sqrt(hneg_sq)
         lval = cutoff_value(hneg_n, cfg.S)
-        times[n_rec] = t_n
-        l2[n_rec] = l2_n
-        hs[n_rec] = math.sqrt(float(np.sum(w_hs * absq)))
-        hneg[n_rec] = hneg_n
-        mean[n_rec] = u[eng.center].real
-        cut[n_rec] = lval
+        table[n_rec] = (t_n, l2_n, math.sqrt(hs_sq), hneg_n, x[at_mean], lval)
         n_rec += 1
-        if cfg.snapshot_stride > 0 and n % cfg.snapshot_stride == 0:
+        if stride > 0 and n % stride == 0:
             snapshots.append((n, sp.SpectralField(cfg.d, cfg.M, u.copy())))
         if l2_n > cfg.blowup_threshold:
             blew_up = True
@@ -510,22 +528,23 @@ def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
             dw = noise_mod.sample_increments(eng.theta, dt, gen).values
         g, t_blk = eng.drift_block(u, lval, dw)
         if classical:
-            u = u + dt * g
+            u += np.multiply(dt, g, out=g)
             if noise_on:
-                u = u + t_blk
+                u += t_blk
         else:
             if noise_on:
-                g = g + t_blk / dt
+                g += np.divide(t_blk, dt, out=t_blk)
             # u_{n+1} = u_0 + sum_{k<=n} c_{n+1-k} G_k
-            u = u0 + hist.push(g).reshape(u0.shape)
+            np.add(u0, hist.push(g).reshape(u0.shape), out=u)
 
+    times, l2, hs, hneg, mean, cut = table[:n_rec].T.copy()
     return TrajectoryRecord(
-        times=times[:n_rec].copy(),
-        l2=l2[:n_rec].copy(),
-        hs=hs[:n_rec].copy(),
-        hneg_gamma=hneg[:n_rec].copy(),
-        mean=mean[:n_rec].copy(),
-        cutoff=cut[:n_rec].copy(),
+        times=times,
+        l2=l2,
+        hs=hs,
+        hneg_gamma=hneg,
+        mean=mean,
+        cutoff=cut,
         blew_up=blew_up,
         blowup_time=blowup_time,
         config_hash=cfg.config_hash(),

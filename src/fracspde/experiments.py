@@ -117,12 +117,9 @@ def _run_ensemble(cfg: dyn.SimConfig, n_runs: int, workers: Optional[int]) -> Li
 def survival_from_times(
     grid: np.ndarray, blowup_times: List[Optional[float]]
 ) -> np.ndarray:
-    n = len(blowup_times)
-    finite = np.array([t for t in blowup_times if t is not None])
-    frac = np.empty(grid.size)
-    for i, t in enumerate(grid):
-        frac[i] = 1.0 - (np.count_nonzero(finite <= t) / n if finite.size else 0.0)
-    return frac
+    """Share of the runs still alive at each grid time (a run blows up at t <= time)."""
+    finite = np.sort([t for t in blowup_times if t is not None])
+    return 1.0 - np.searchsorted(finite, grid, side="right") / max(len(blowup_times), 1)
 
 
 def ensemble_survival(

@@ -151,15 +151,16 @@ def write_survival(
     dest = run_directory(out_dir, config_hash)
     grid = curves[0].times
     header = "time," + ",".join(f"level_{c.noise_N}" for c in curves)
-    rows = [header]
-    for i, t in enumerate(grid):
-        cells = [
-            _fmt(c.fraction[i]) if i < len(c.fraction) else _fmt(c.fraction[-1])
-            for c in curves
-        ]
-        rows.append(f"{_fmt(t)}," + ",".join(cells))
+    cols = [grid]
+    for c in curves:
+        col = c.fraction[: len(grid)]
+        if len(col) < len(grid):  # a curve shorter than the grid holds its last value
+            col = np.append(col, np.full(len(grid) - len(col), col[-1]))
+        cols.append(col)
+    # one %-format per row ("%.17g" is _fmt's format) keeps no per-cell strings alive
+    row = ",".join(["%.17g"] * len(cols))
     path = dest / "survival.csv"
-    path.write_text("\n".join(rows) + "\n")
+    path.write_text("\n".join([header, *[row % r for r in zip(*cols)]]) + "\n")
     write_manifest(dest, config_hash, base_seed, [path.name])
     return {"survival": path}
 

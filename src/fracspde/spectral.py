@@ -313,11 +313,11 @@ class GridTransform:
             x = np.matmul(self._F, x, out=self._out(-1 - ax, (len(x), n, x.shape[2])))
         x = x.reshape((C,) + (n,) * d)
         out = self._out("herm", x.shape)
+        # (conj(x_{-k}) + x_k) / 2; at k = 0 the imaginary part is -a + a,
+        # exactly +0.0 for every finite a
         np.conjugate(x[(slice(None),) + (slice(None, None, -1),) * d], out=out)
         out += x
         out *= 0.5
-        at0 = (slice(None),) + (self.M,) * d
-        out[at0] = out[at0].real
         return out
 
 

@@ -9,6 +9,10 @@ slices).  Used to pin the beta = 1 regression of the Volterra stepper.
 
 DenseHistory is the exact O(n^2) Volterra history with the interface of
 fractional.VolterraHistory; tests substitute it to get the exact path.
+
+survival_from_times and survival_csv are the per-time-point loop and the
+row-by-row writer that experiments.survival_from_times and io.write_survival
+must reproduce exactly.
 """
 
 import math
@@ -102,3 +106,22 @@ class DenseHistory:
         self.hist[self.n] = np.ravel(g)
         self.n += 1
         return self.hist[: self.n].T @ self.c[1 : self.n + 1][::-1]
+
+
+def survival_from_times(grid, blowup_times):
+    """Share of runs alive at each grid time, one time point at a time."""
+    n = len(blowup_times)
+    finite = np.array([t for t in blowup_times if t is not None])
+    frac = np.empty(grid.size)
+    for i, t in enumerate(grid):
+        frac[i] = 1.0 - (np.count_nonzero(finite <= t) / n if finite.size else 0.0)
+    return frac
+
+
+def survival_csv(curves):
+    """Text of survival.csv built row by row; short curves hold their last value."""
+    rows = ["time," + ",".join(f"level_{c.noise_N}" for c in curves)]
+    for i, t in enumerate(curves[0].times):
+        cells = [t] + [c.fraction[min(i, len(c.fraction) - 1)] for c in curves]
+        rows.append(",".join(format(float(x), ".17g") for x in cells))
+    return "\n".join(rows) + "\n"

@@ -122,6 +122,27 @@ class TestWriteOutputs:
         header = paths["survival"].read_text().splitlines()[0]
         assert header == "time,level_1"
 
+    def test_survival_columns_match_row_writer(self, tmp_path):
+        from _reference import survival_csv
+
+        from fracspde import experiments as xp
+
+        grid = np.arange(2001) * 1e-3
+        curves = [
+            xp.SurvivalCurve(noise_N=n, b=1.0, A=0.5, times=grid[: len(grid) - cut],
+                             fraction=xp.survival_from_times(grid[: len(grid) - cut], bts),
+                             n_runs=len(bts), blowup_times=bts, base_seed=3)
+            for n, cut, bts in [(0, 0, [0.25, 1.0 / 3.0, None]),
+                                (2, 0, [0.7, None, 1.2]),
+                                (4, 900, [0.5, 0.5, 0.123456789])]
+        ]
+        paths = io_mod.write_survival(curves, tmp_path, "c" * 16, 3)
+        got, want = paths["survival"].read_text(), survival_csv(curves)
+        # compare as a bool: pytest's diff of two 2000-line texts takes minutes
+        same = got == want
+        assert same, next(((g, w) for g, w in zip(got.splitlines(), want.splitlines())
+                           if g != w), "line count or final newline differs")
+
     def test_probe_json_echoes_exponents(self, tmp_path):
         from fracspde import experiments as xp
 

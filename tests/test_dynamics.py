@@ -139,16 +139,37 @@ class TestGridPass:
 
     @pytest.mark.parametrize("d,zeta", [(2, "fisher"), (3, "keller_segel")])
     def test_reused_engine_matches_fresh_engine(self, d, zeta):
-        # the work arrays carry nothing from one call to the next
+        # the work arrays carry nothing from one call to the next, also when
+        # the channel stack changes shape: zeta on, zeta cut off, noise off
         cfg = make_cfg(d=d, M=3, b=1.0, noise_N=2, zeta=zeta)
         eng = dyn._Engine(cfg)
         rng = np.random.default_rng(12)
         u, v = (sp.random_field(rng, d, 3, 1.0, 1.0, mean=0.6).coeffs for _ in range(2))
         dw_u, dw_v = (nm.sample_increments(eng.theta, 0.01, rng).values for _ in range(2))
-        eng.drift_block(u, 0.7, dw_u)
-        g, t = eng.drift_block(v, 0.7, dw_v)
-        g0, t0 = dyn._Engine(cfg).drift_block(v, 0.7, dw_v)
-        assert np.array_equal(g, g0) and np.array_equal(t, t0)
+        calls = [(u, 0.7, dw_u), (v, 0.7, dw_v), (u, 0.0, dw_v), (v, 0.7, None),
+                 (u, 0.0, None), (v, 0.7, dw_u)]
+        for block, lval, dw in calls:
+            got = [None if a is None else a.copy() for a in eng.drift_block(block, lval, dw)]
+            want = dyn._Engine(cfg).drift_block(block, lval, dw)
+            for a, b in zip(got, want):
+                assert (a is None and b is None) or np.array_equal(a, b)
+
+    def test_public_results_are_not_work_arrays(self):
+        cfg = make_cfg(b=1.0, zeta="fisher")
+        rng = np.random.default_rng(13)
+        u, v = (sp.random_field(rng, 2, 4, 1.0, 1.0, mean=0.6) for _ in range(2))
+        theta = nm.make_theta_cutoff(2, 2)
+        basis = nm.build_noise_basis(theta)
+        inc = nm.sample_increments(theta, 0.01, rng)
+        A = nm.amplitude_A(1.0, theta)
+        funcs = [lambda f: dyn.drift(f, cfg), dyn.zeta_fisher, dyn.zeta_keller_segel,
+                 lambda f: nm.transport_term(f, theta, basis, inc, A)]
+        first = [fn(u) for fn in funcs]
+        kept = [f.coeffs.copy() for f in first]
+        for fn in funcs:
+            fn(v)
+        for f, c in zip(first, kept):
+            assert np.array_equal(f.coeffs, c)
 
 
 class TestDrift:
@@ -298,6 +319,18 @@ class TestIntegrateStochastic:
         assert rec.blowup_time is not None
         assert np.all(np.isfinite(rec.l2))
         assert rec.times[-1] <= rec.blowup_time
+
+    @pytest.mark.parametrize("d,beta,zeta", [(2, 1.0, "fisher"), (3, 0.9, "keller_segel")])
+    def test_recorded_norms_match_snapshots(self, d, beta, zeta):
+        cfg = make_cfg(
+            d=d, M=3, beta=beta, b=0.5, noise_N=2, zeta=zeta, dt=1e-4, t_end=0.005,
+            s=1.5, gamma=0.3, init={"mean": 0.4, "delta0": 0.05}, seed=8, snapshot_stride=1,
+        )
+        rec = dyn.integrate(cfg)
+        assert [n for n, _ in rec.snapshots] == list(range(len(rec.times)))
+        for rec_norms, s in [(rec.l2, 0.0), (rec.hs, cfg.s), (rec.hneg_gamma, -cfg.gamma)]:
+            want = [sp.sobolev_norm(f, s) for _, f in rec.snapshots]
+            np.testing.assert_allclose(rec_norms, want, rtol=1e-14, atol=0.0)
 
     def test_snapshots(self):
         cfg = make_cfg(dt=1e-3, t_end=0.01, snapshot_stride=5)

@@ -67,6 +67,29 @@ class TestEnsembleSurvival:
         assert a.base_seed == 11
 
 
+class TestSurvivalFromTimes:
+    GRID = np.arange(2001) * 1e-3
+
+    @pytest.mark.parametrize("case", ["mixed", "ties", "all_none", "all_blown_up"])
+    def test_matches_loop(self, case):
+        from _reference import survival_from_times
+
+        rng = np.random.default_rng(4)
+        if case == "all_none":
+            times = [None] * 7
+        else:
+            # blow-up times are step times, so many sit exactly on grid points
+            times = [float(t) for t in self.GRID[rng.integers(0, 2001, size=25)]]
+            if case == "ties":
+                times = times[:5] * 3 + [float(self.GRID[-1]), float(self.GRID[0])]
+            if case == "mixed":
+                times += [None] * 6 + [float(rng.uniform(0.0, 2.0)) for _ in range(9)]
+            rng.shuffle(times)
+        got = xp.survival_from_times(self.GRID, times)
+        assert np.array_equal(got, survival_from_times(self.GRID, times))
+        assert got[-1] == pytest.approx(sum(t is None for t in times) / len(times))
+
+
 class TestDelayStudy:
     def test_level_zero_reproduces_deterministic_time(self):
         cfg = blowup_cfg()
