@@ -21,8 +21,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -329,6 +331,8 @@ class GridPass(sp.GridTransform):
     axis, where neither product aliases onto ||k||_inf <= M (the 2/3 rule).
     The products come back in one forward transform.  V has its own
     GridTransform, so its work arrays never alias those of the channels.
+    Products with a block go one component at a time and with complex
+    multipliers: numpy takes buffers for a broadcast or a cast.
     """
 
     def __init__(self, d: int, M: int, zeta: str = "none", noise=None):
@@ -341,35 +345,53 @@ class GridPass(sp.GridTransform):
         self.lap = 4.0 * np.pi**2 * self.ksq
         if zeta == "keller_segel":
             self.inv_lap = np.divide(1.0, self.lap, out=np.zeros_like(self.lap),
-                                     where=self.ksq > 0.0)
+                                     where=self.ksq > 0.0).astype(np.complex128)
+        # c of Keller-Segel or zeta - u of Fisher, the drift sum, the grid product temporary
+        self._blk, self._drift = np.empty((2,) + self.ksq.shape, np.complex128)
+        self._tmp = np.empty((self.R,) * d)
+        self._layouts = [None] * 4  # by 2 * with_zeta + noise_on, built on first use
         self.theta = None
         if noise is not None:
             self.theta, basis, A = noise
             half = self.theta.half_modes
-            # V_m = sum_j _vel_q[j, :, m] dW^{m,j} and V_{-m} = conj(V_m)
-            self._vel_q = (A * self.theta.half_values) * basis.q.transpose(1, 2, 0)
-            self._vel_pm = np.empty((2,) + self._vel_q.shape[1:], dtype=np.complex128)
-            # zero off the support +-half, which every call rewrites in full
-            self._vel_block = np.zeros((d,) + (2 * N + 1,) * d, dtype=np.complex128)
-            # flat positions in _vel_block of _vel_pm = (V_m, V_{-m}), component-major
+            # V_m = sum_j q[j, :, m] dW^{m,j} by rows (q[j, a], V_m[a], temporary)
+            # and V_{-m} = conj(V_m)
+            q = np.ascontiguousarray((A * self.theta.half_values) * basis.q.transpose(1, 2, 0))
+            pm = np.empty((2,) + q.shape[1:], dtype=np.complex128)
+            self._vel_pm, self._vel_rows = (pm[0], pm[1]), [list(zip(qj, *pm)) for qj in q]
+            # V's plan: its input is zero off the support +-half, rewritten in full per call
+            self._vel = sp.GridTransform(d, N, self.R)
+            self._vel_plan = self._vel.plan(d)
+            # flat positions in the input of pm = (V_m, V_{-m}), component-major
             idx = np.stack([half, -half]) + N  # block indices of (m, -m), (2, n_half, d)
             at = (np.arange(d)[:, None],) + tuple(idx[:, None, :, a] for a in range(d))
             self._vel_at = np.ravel_multi_index(np.broadcast_arrays(*at),
-                                                self._vel_block.shape).ravel()
-            self._vel = sp.GridTransform(d, N, self.R)
+                                                self._vel_plan.input.shape).ravel()
+            self._vel_flat, self._vel_pm_flat = self._vel_plan.input.reshape(-1), pm.reshape(-1)
+            self._vel_g = tuple(self._vel_plan.output)
 
-    def _velocity(self, dw: np.ndarray) -> np.ndarray:
-        """Coefficients (d, 2N+1, ..., 2N+1) of V for the increments dw (n_half, d-1).
+    def _velocity(self, dw: np.ndarray) -> tuple:
+        """Point values (V_1, ..., V_d) of V for the increments dw (n_half, d-1)."""
+        for j, rows in enumerate(self._vel_rows):
+            for q, v, tmp in rows:
+                np.multiply(q, dw[:, j], out=tmp if j else v)
+                if j:
+                    v += tmp
+        np.conjugate(*self._vel_pm)
+        self._vel_flat[self._vel_at] = self._vel_pm_flat
+        self._vel._to_grid(self._vel_plan)
+        return self._vel_g
 
-        The result is a work array that the next call overwrites.
-        """
-        pm = self._vel_pm
-        np.multiply(self._vel_q[0], dw[:, 0], out=pm[0])
-        for j in range(1, self.d - 1):
-            pm[0] += np.multiply(self._vel_q[j], dw[:, j], out=pm[1])
-        np.conjugate(pm[0], out=pm[1])
-        self._vel_block.reshape(-1)[self._vel_at] = pm.reshape(-1)
-        return self._vel_block
+    def _layout(self, with_zeta: bool, noise_on: bool) -> SimpleNamespace:
+        """Plans and views of channels [u if with_zeta] [grad u from lo] [grad c from hi]."""
+        ks, lo = with_zeta and self.zeta == "keller_segel", int(with_zeta)
+        hi = lo + self.d * (ks or noise_on)
+        to, back = self.plan(hi + self.d * ks), self.plan(lo + noise_on, from_grid=True)
+        lay = self._layouts[2 * with_zeta + noise_on] = SimpleNamespace(
+            to=to, back=back, ks=ks, lo=lo, u=to.input[:1], g=tuple(to.output),
+            grad_u=list(zip(self.grad, to.input[lo:hi])), p=tuple(back.input),
+            grad_c=list(zip(self.grad, to.input[hi:])), h=tuple(back.output))
+        return lay
 
     def zeta_block(self, block: np.ndarray, with_zeta: bool, dw=None):
         """The grid pass: (Pi_M zeta(u) if with_zeta, transport block if dw is given).
@@ -379,44 +401,40 @@ class GridPass(sp.GridTransform):
         to exactly 0.  Outputs are views of work arrays that the next call
         overwrites.
         """
-        d = self.d
-        ks = with_zeta and self.zeta == "keller_segel"
-        # channels: [u if with_zeta] [grad u from lo] [grad c from hi, Keller-Segel]
-        lo = int(with_zeta)
-        hi = lo + d * (ks or dw is not None)
-        chans = self._out("chans", (hi + d * ks,) + block.shape)
+        noise_on = dw is not None
+        lay = self._layouts[2 * with_zeta + noise_on] or self._layout(with_zeta, noise_on)
+        d, ks, lo, g, p, h, tmp = self.d, lay.ks, lay.lo, lay.g, lay.p, lay.h, self._tmp
         if with_zeta:
-            chans[0] = block
-        if hi > lo:
-            np.multiply(self.grad, block, out=chans[lo:hi])
+            lay.u[0] = block
+        for grad, chan in lay.grad_u:
+            np.multiply(grad, block, out=chan)
         if ks:
-            c = np.multiply(block, self.inv_lap, out=self._out("c", block.shape))
-            np.multiply(self.grad, c, out=chans[hi:])
-        g = self._to_grid(chans)
-        prods = self._out("prods", (lo + (dw is not None),) + g.shape[1:], np.float64)
-        tmp = self._out("prod_tmp", g.shape[1:], np.float64)
+            c = np.multiply(block, self.inv_lap, out=self._blk)
+            for grad, chan in lay.grad_c:
+                np.multiply(grad, c, out=chan)
+        self._to_grid(lay.to)
         if ks:
             # -div(rho grad c) = rho (rho - mean rho) - grad rho . grad c
             np.subtract(g[0], block[self.center].real, out=tmp)
-            np.multiply(g[0], tmp, out=prods[0])
+            np.multiply(g[0], tmp, out=p[0])
             for a in range(1, d + 1):
-                prods[0] -= np.multiply(g[a], g[a + d], out=tmp)
+                np.subtract(p[0], np.multiply(g[a], g[a + d], out=tmp), out=p[0])
         elif with_zeta:
-            np.multiply(g[0], g[0], out=prods[0])
-        if dw is not None:
-            vel = self._vel._to_grid(self._velocity(dw))
-            np.multiply(vel[0], g[lo], out=prods[-1])
+            np.multiply(g[0], g[0], out=p[0])
+        if noise_on:
+            vel = self._velocity(dw)
+            np.multiply(vel[0], g[lo], out=p[-1])
             for a in range(1, d):
-                prods[-1] += np.multiply(vel[a], g[lo + a], out=tmp)
-        out = self._from_grid(prods)
+                np.add(p[-1], np.multiply(vel[a], g[lo + a], out=tmp), out=p[-1])
+        self._from_grid(lay.back)
         if ks:  # a divergence: zero mean analytically
-            out[(0,) + self.center] = 0.0
-        if dw is not None:
-            out[(-1,) + self.center] = 0.0
+            h[0][self.center] = 0.0
+        if noise_on:
+            h[-1][self.center] = 0.0
         zeta = None
         if with_zeta:
-            zeta = out[0] if ks else np.subtract(out[0], block, out=self._out("zeta", block.shape))
-        return zeta, (out[-1] if dw is not None else None)
+            zeta = h[0] if ks else np.subtract(h[0], block, out=self._blk)
+        return zeta, (h[-1] if noise_on else None)
 
 
 @lru_cache(maxsize=16)
@@ -435,7 +453,7 @@ class _Engine(GridPass):
             theta, basis = _noise_support(cfg.noise_N, cfg.d)
             noise = (theta, basis, noise_mod.amplitude_A(cfg.b, theta))
         super().__init__(cfg.d, cfg.M, cfg.zeta, noise)
-        self.lin_mult = -(self.lap**cfg.s) - cfg.b * self.lap
+        self.lin_mult = (-(self.lap**cfg.s) - cfg.b * self.lap).astype(np.complex128)
         # (x*x) @ norm_w on the interleaved float view x of a block gives its
         # squared L2, H^s and H^-gamma norms
         w = np.stack([np.ones_like(self.ksq), (1.0 + self.ksq) ** cfg.s,
@@ -447,7 +465,7 @@ class _Engine(GridPass):
 
         Both are views of work arrays that the next call overwrites.
         """
-        out = np.multiply(self.lin_mult, block, out=self._out("drift", block.shape))
+        out = np.multiply(self.lin_mult, block, out=self._drift)
         with_zeta = self.zeta != "none" and lval != 0.0
         if not with_zeta and dw is None:
             return out, None
@@ -465,9 +483,20 @@ def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
     (cfg.seed, run_index) through the documented splitmix64 mixing, so a
     rerun is bit-identical and ensemble results are independent of
     scheduling order.  Blow-up (L2 norm beyond cfg.blowup_threshold, or a
-    non-finite field) ends the run and is recorded, not raised.
+    non-finite field) ends the run and is recorded, not raised.  A
+    snapshot_stride whose snapshots would not fit in physical memory is
+    refused before the run starts.
     """
     steps = cfg.n_steps
+    stride = cfg.snapshot_stride
+    if stride > 0:
+        need = (steps // stride + 1) * (2 * cfg.M + 1) ** cfg.d * 16
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise InvalidParameterError(
+                f"snapshot_stride = {stride} over {steps} steps keeps {need} bytes of "
+                f"snapshots, more than the {have} bytes of physical memory"
+            )
     classical = cfg.beta == 1.0
     eng = _Engine(cfg)
     u0_field = build_initial_field(cfg, initial_rng(cfg.seed, run_index))
@@ -478,8 +507,9 @@ def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
     dt = cfg.dt
     if not classical:
         hist = VolterraHistory(kernel_increments(cfg.beta, dt, steps), u0.size)
-    u = u0.copy()  # updated in place, so its float view x stays valid
-    x = u.reshape(-1).view(np.float64)
+    u = u0.copy()  # updated in place, so its flat views u_flat and x stay valid
+    u0_flat, u_flat = u0.reshape(-1), u.reshape(-1)
+    x = u_flat.view(np.float64)
     xsq = np.empty_like(x)
     norm_w = eng.norm_w
     at_mean = 2 * int(np.ravel_multi_index(eng.center, u.shape))
@@ -487,7 +517,6 @@ def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
     # per recorded step: time, l2, hs, hneg_gamma, mean, cutoff
     table = np.empty((steps + 1, 6))
     snapshots: List[Tuple[int, sp.SpectralField]] = []
-    stride = cfg.snapshot_stride
 
     noise_on = eng.theta is not None
     if noise_on:
@@ -535,7 +564,7 @@ def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
             if noise_on:
                 g += np.divide(t_blk, dt, out=t_blk)
             # u_{n+1} = u_0 + sum_{k<=n} c_{n+1-k} G_k
-            np.add(u0, hist.push(g).reshape(u0.shape), out=u)
+            np.add(u0_flat, hist.push(g), out=u_flat)
 
     times, l2, hs, hneg, mean, cut = table[:n_rec].T.copy()
     return TrajectoryRecord(

@@ -113,14 +113,12 @@ def write_manifest(
 def write_trajectory(record: TrajectoryRecord, cfg: SimConfig, out_dir) -> Dict[str, Path]:
     """trajectory.csv + summary.json + snapshots + manifest under the hash dir."""
     dest = run_directory(out_dir, record.config_hash)
-    rows = ["step,time,l2,hs,hneg_gamma,mean,cutoff"]
-    for i in range(len(record.times)):
-        rows.append(
-            f"{i},{_fmt(record.times[i])},{_fmt(record.l2[i])},{_fmt(record.hs[i])},"
-            f"{_fmt(record.hneg_gamma[i])},{_fmt(record.mean[i])},{_fmt(record.cutoff[i])}"
-        )
+    cols = [record.times, record.l2, record.hs, record.hneg_gamma, record.mean, record.cutoff]
+    # one %-format per row, as in write_survival ("%.17g" is _fmt's format)
+    row = "%d" + ",%.17g" * len(cols)
+    rows = [row % r for r in zip(range(len(record.times)), *cols)]
     traj_path = dest / "trajectory.csv"
-    traj_path.write_text("\n".join(rows) + "\n")
+    traj_path.write_text("\n".join(["step,time,l2,hs,hneg_gamma,mean,cutoff", *rows]) + "\n")
 
     summary = {
         "blew_up": record.blew_up,

@@ -10,6 +10,7 @@ the integrator) for dealiased pseudospectral products live here.
 from __future__ import annotations
 
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Tuple
@@ -251,11 +252,6 @@ def grid_resolution(M: int, dealias: bool = True) -> int:
     return r
 
 
-@lru_cache(maxsize=32)
-def _embed_index(M: int, resolution: int) -> np.ndarray:
-    return np.arange(-M, M + 1) % resolution
-
-
 def _dft_pair(K: int, R: int):
     """E[x, k] = exp(2 pi i x k / R) for x < R, |k| <= K, and its real form E_re.
 
@@ -266,6 +262,11 @@ def _dft_pair(K: int, R: int):
     return E, np.stack([E.real.T, -E.imag.T], axis=1).reshape(-1, R)
 
 
+#: one transform direction for C stacked channels with its arrays bound: a run
+#: writes `input`, makes the calls op(*args) of `ops` in order, reads `output`
+TransformPlan = namedtuple("TransformPlan", "input ops output")
+
+
 class GridTransform:
     """Pruned matrix DFTs between blocks on ||k||_inf <= M and R^d point values.
 
@@ -273,9 +274,9 @@ class GridTransform:
     out, and on blocks this small that beats an FFT call.  The last inverse
     axis and the first forward axis run in real arithmetic on the interleaved
     float view of the complex data.  Any R >= 2M+1 works; it is not rounded to
-    a power of two.  Each step writes into a work array of its own, allocated
-    on first use for its shape, so a returned array is valid only until the
-    next call on the same instance.
+    a power of two.  Each direction and channel count has one plan, built on
+    first use and shared by every caller with that count, so a returned array
+    is valid only until the next run of the same plan.
     """
 
     def __init__(self, d: int, M: int, R: int):
@@ -283,42 +284,50 @@ class GridTransform:
         self._E, self._E_re = _dft_pair(M, R)
         # forward: F = conj(E).T / R, and grids @ F_re viewed as complex is grids @ F.T
         self._F, self._F_re = self._E.conj().T / R, self._E_re.T / R
-        self._work = {}
+        self._plans = {}
 
-    def _out(self, step, shape: tuple, dtype=np.complex128) -> np.ndarray:
-        """The work array of one transform step for this output shape."""
-        buf = self._work.get((step, shape))
-        if buf is None:
-            buf = self._work[step, shape] = np.empty(shape, dtype)
-        return buf
+    def plan(self, C: int, from_grid: bool = False) -> TransformPlan:
+        """The plan of C channels for _to_grid, or for _from_grid if from_grid."""
+        if (C, from_grid) not in self._plans:
+            self._plans[C, from_grid] = (self._from_plan if from_grid else self._to_plan)(C)
+        return self._plans[C, from_grid]
 
-    def _to_grid(self, stack: np.ndarray) -> np.ndarray:
-        """Real point values (C, R, ..., R) of stacked coefficient blocks (C, n, ..., n)."""
-        C, n, R = stack.shape[0], stack.shape[1], self.R
+    def _to_plan(self, C: int) -> TransformPlan:
+        n, R, ops = 2 * self.M + 1, self.R, []
+        x = stack = np.zeros((C,) + (n,) * self.d, dtype=np.complex128)
         for ax in range(self.d - 1):
-            x = stack.reshape(C * R**ax, n, -1)
-            stack = np.matmul(self._E, x, out=self._out(ax, (len(x), R, x.shape[2])))
-        x = stack.reshape(-1, n).view(np.float64)
-        grid = np.matmul(x, self._E_re, out=self._out("grid", (len(x), R), np.float64))
-        return grid.reshape((C,) + (R,) * self.d)
+            a = x.reshape(C * R**ax, n, -1)
+            x = np.empty((len(a), R, a.shape[2]), np.complex128)
+            ops.append((np.matmul, (self._E, a, x)))
+        a, x = x.reshape(-1, n).view(np.float64), np.empty((C * R ** (self.d - 1), R))
+        ops.append((np.matmul, (a, self._E_re, x)))
+        return TransformPlan(stack, tuple(ops), x.reshape((C,) + (R,) * self.d))
 
-    def _from_grid(self, grids: np.ndarray) -> np.ndarray:
-        """Hermitian-exact coefficients on ||k||_inf <= M of stacked real grids."""
-        C, R, d, n = grids.shape[0], self.R, self.d, 2 * self.M + 1
-        g = grids.reshape(-1, R)
-        x = np.matmul(g, self._F_re, out=self._out("re", (len(g), 2 * n), np.float64))
+    def _from_plan(self, C: int) -> TransformPlan:
+        n, R, d = 2 * self.M + 1, self.R, self.d
+        grids, x = np.zeros((C,) + (R,) * d), np.empty((C * R ** (d - 1), 2 * n))
+        ops = [(np.matmul, (grids.reshape(-1, R), self._F_re, x))]
         x = x.view(np.complex128)
         for ax in reversed(range(d - 1)):
-            x = x.reshape(C * R**ax, R, -1)
-            x = np.matmul(self._F, x, out=self._out(-1 - ax, (len(x), n, x.shape[2])))
-        x = x.reshape((C,) + (n,) * d)
-        out = self._out("herm", x.shape)
-        # (conj(x_{-k}) + x_k) / 2; at k = 0 the imaginary part is -a + a,
-        # exactly +0.0 for every finite a
-        np.conjugate(x[(slice(None),) + (slice(None, None, -1),) * d], out=out)
-        out += x
-        out *= 0.5
-        return out
+            a = x.reshape(C * R**ax, R, -1)
+            x = np.empty((len(a), n, a.shape[2]), np.complex128)
+            ops.append((np.matmul, (self._F, a, x)))
+        x, out = x.reshape((C,) + (n,) * d), np.empty((C,) + (n,) * d, np.complex128)
+        # (conj(x_{-k}) + x_k) / 2, x_{-k} from a channel's flat block reversed (1-D:
+        # numpy takes no buffer); at k = 0 the imaginary part is -a + a, exactly +0.0
+        ops += [(np.conjugate, (c[::-1], o)) for c, o in zip(x.reshape(C, -1), out.reshape(C, -1))]
+        ops += [(np.add, (out, x, out)), (np.multiply, (out, 0.5, out))]
+        return TransformPlan(grids, tuple(ops), out)
+
+    def _to_grid(self, plan: TransformPlan) -> np.ndarray:
+        """Run a plan: the real point values (C, R, ..., R) of the blocks (C, n, ..., n)
+        in plan.input, or for a from-grid plan (_from_grid) the Hermitian-exact
+        coefficients on ||k||_inf <= M of the real grids in plan.input."""
+        for op, args in plan.ops:
+            op(*args)
+        return plan.output
+
+    _from_grid = _to_grid
 
 
 def to_grid(f: SpectralField, dealias: bool = True, resolution: int | None = None) -> GridField:
@@ -328,7 +337,9 @@ def to_grid(f: SpectralField, dealias: bool = True, resolution: int | None = Non
         raise InvalidParameterError(
             f"resolution {R} too small for M = {f.M} (dealias={dealias})"
         )
-    return GridField(f.d, R, GridTransform(f.d, f.M, R)._to_grid(f.coeffs[None])[0])
+    transform = GridTransform(f.d, f.M, R)
+    transform.plan(1).input[0] = f.coeffs
+    return GridField(f.d, R, transform._to_grid(transform.plan(1))[0])
 
 
 def from_grid(g: GridField, M: int) -> SpectralField:
@@ -337,8 +348,9 @@ def from_grid(g: GridField, M: int) -> SpectralField:
         raise InvalidParameterError(
             f"grid resolution {g.resolution} cannot represent modes up to M = {M}"
         )
-    block = GridTransform(g.d, M, g.resolution)._from_grid(g.values[None])[0]
-    return SpectralField(g.d, M, block)
+    transform = GridTransform(g.d, M, g.resolution)
+    transform.plan(1, from_grid=True).input[0] = g.values
+    return SpectralField(g.d, M, transform._from_grid(transform.plan(1, from_grid=True))[0])
 
 
 def multiply(f: SpectralField, g: SpectralField) -> SpectralField:

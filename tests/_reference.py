@@ -12,7 +12,8 @@ fractional.VolterraHistory; tests substitute it to get the exact path.
 
 survival_from_times and survival_csv are the per-time-point loop and the
 row-by-row writer that experiments.survival_from_times and io.write_survival
-must reproduce exactly.
+must reproduce exactly; trajectory_csv is the cell-by-cell writer that
+io.write_trajectory must reproduce byte for byte.
 """
 
 import math
@@ -124,4 +125,14 @@ def survival_csv(curves):
     for i, t in enumerate(curves[0].times):
         cells = [t] + [c.fraction[min(i, len(c.fraction) - 1)] for c in curves]
         rows.append(",".join(format(float(x), ".17g") for x in cells))
+    return "\n".join(rows) + "\n"
+
+
+def trajectory_csv(record):
+    """Text of trajectory.csv built row by row, one format call per cell."""
+    rows = ["step,time,l2,hs,hneg_gamma,mean,cutoff"]
+    for i in range(len(record.times)):
+        cells = [record.times[i], record.l2[i], record.hs[i], record.hneg_gamma[i],
+                 record.mean[i], record.cutoff[i]]
+        rows.append(f"{i}," + ",".join(format(float(x), ".17g") for x in cells))
     return "\n".join(rows) + "\n"

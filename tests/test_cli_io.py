@@ -143,6 +143,23 @@ class TestWriteOutputs:
         assert same, next(((g, w) for g, w in zip(got.splitlines(), want.splitlines())
                            if g != w), "line count or final newline differs")
 
+    @pytest.mark.parametrize("mean,threshold", [(0.4, 1e6), (1.5, 3.0)])
+    def test_trajectory_rows_match_cell_writer(self, tmp_path, mean, threshold):
+        from _reference import trajectory_csv
+
+        cfg = dyn.SimConfig(
+            d=2, M=2, s=1.0, beta=0.9, b=0.5, S=100.0, dt=1e-3, t_end=2.0,
+            zeta="fisher", init={"mean": mean, "delta0": 0.01}, seed=4, noise_N=1,
+            blowup_threshold=threshold,
+        )
+        rec = dyn.integrate(cfg)
+        # full length, or cut short by blow-up
+        assert rec.blew_up == (threshold < 1e6)
+        assert (len(rec.times) < cfg.n_steps + 1) == rec.blew_up
+        got = io_mod.write_trajectory(rec, cfg, tmp_path)["trajectory"].read_bytes()
+        same = got == trajectory_csv(rec).encode()
+        assert same
+
     def test_probe_json_echoes_exponents(self, tmp_path):
         from fracspde import experiments as xp
 
@@ -223,6 +240,17 @@ class TestCli:
         rc = cli.main(["simulate", "--config", str(cfg_path)])
         assert rc == 2
         assert "1/2" in capsys.readouterr().err
+
+    def test_snapshot_footprint_exit_code(self, tmp_path, capsys, monkeypatch):
+        # 11 snapshots of 5^2 x 16 B = 4400 B against one 4096 B page of memory
+        sysconf = dyn.os.sysconf
+        monkeypatch.setattr(dyn.os, "sysconf",
+                            lambda name: 1 if name == "SC_PHYS_PAGES" else sysconf(name))
+        cfg_path = write_config(tmp_path, {"M": 2, "beta": 1.0, "t_end": 0.01,
+                                           "snapshot_stride": 1})
+        rc = cli.main(["--out", str(tmp_path / "out"), "simulate", "--config", str(cfg_path)])
+        assert rc == 2
+        assert "snapshot_stride = 1" in capsys.readouterr().err
 
     def test_non_integer_threads_env_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("FRACSPDE_THREADS", "two")

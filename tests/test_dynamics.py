@@ -146,13 +146,36 @@ class TestGridPass:
         rng = np.random.default_rng(12)
         u, v = (sp.random_field(rng, d, 3, 1.0, 1.0, mean=0.6).coeffs for _ in range(2))
         dw_u, dw_v = (nm.sample_increments(eng.theta, 0.01, rng).values for _ in range(2))
-        calls = [(u, 0.7, dw_u), (v, 0.7, dw_v), (u, 0.0, dw_v), (v, 0.7, None),
-                 (u, 0.0, None), (v, 0.7, dw_u)]
+        # layouts A = (zeta, noise), B = (cut off, noise), C = (zeta, no noise),
+        # D = (cut off, no noise) in the order A B A C A D B C B D C D A, which
+        # switches between every two of them in both directions
+        layouts = {"A": (0.7, True), "B": (0.0, True), "C": (0.7, False), "D": (0.0, False)}
+        calls = [((u, v)[i % 2], lval, (dw_u, dw_v)[i % 3 % 2] if noisy else None)
+                 for i, (lval, noisy) in enumerate(layouts[c] for c in "ABACADBCBDCDA")]
         for block, lval, dw in calls:
             got = [None if a is None else a.copy() for a in eng.drift_block(block, lval, dw)]
             want = dyn._Engine(cfg).drift_block(block, lval, dw)
             for a, b in zip(got, want):
                 assert (a is None and b is None) or np.array_equal(a, b)
+
+    @pytest.mark.parametrize("d,M,zeta,lval", [(2, 4, "fisher", 0.7), (3, 3, "keller_segel", 0.7),
+                                               (2, 4, "fisher", 0.0)])
+    def test_steady_calls_allocate_no_block(self, d, M, zeta, lval):
+        # after one warm-up call per layout, the calls allocate nothing of a block's size
+        cfg = make_cfg(d=d, M=M, b=1.0, noise_N=2, zeta=zeta)
+        eng = dyn._Engine(cfg)
+        rng = np.random.default_rng(14)
+        u = sp.random_field(rng, d, M, 1.0, 1.0, mean=0.6).coeffs
+        dws = [nm.sample_increments(eng.theta, 0.01, rng).values for _ in range(50)]
+        eng.drift_block(u, lval, dws[0])
+        tracemalloc.start()
+        try:
+            for dw in dws:
+                eng.drift_block(u, lval, dw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < u.nbytes
 
     def test_public_results_are_not_work_arrays(self):
         cfg = make_cfg(b=1.0, zeta="fisher")
@@ -223,6 +246,29 @@ class TestConfigValidation:
             tracemalloc.stop()
         assert hist.n_modes < 100
         assert peak < 32 * 2**20
+
+    def test_snapshot_footprint_refused_up_front(self, monkeypatch):
+        # d=3, M=8, stride 1 at the step cap: 100001 snapshots x 17^3 x 16 B = 7.9 GB
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**20}  # 4 GiB
+        monkeypatch.setattr(dyn.os, "sysconf", pages.__getitem__)
+        cfg = make_cfg(d=3, M=8, dt=1e-5, t_end=1.0, snapshot_stride=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameterError) as err:
+                dyn.integrate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        need = (dyn.MAX_STEPS + 1) * 17**3 * 16
+        assert f"{need} bytes" in str(err.value) and "snapshot_stride = 1" in str(err.value)
+        # 3 snapshots of 9^2 x 16 B run in exactly that much memory, not in one byte less
+        small = make_cfg(t_end=0.01, snapshot_stride=5)
+        pages.update(SC_PAGE_SIZE=1, SC_PHYS_PAGES=3 * 81 * 16)
+        assert len(dyn.integrate(small).snapshots) == 3
+        pages["SC_PHYS_PAGES"] -= 1
+        with pytest.raises(InvalidParameterError, match="5 over 10 steps keeps 3888 bytes"):
+            dyn.integrate(small)
 
     def test_init_schema(self):
         with pytest.raises(InvalidParameterError):

@@ -268,7 +268,7 @@ class TestMultiplierSymmetry:
         f = random_field(22, d=2, M=5)
         R = sp.grid_resolution(f.M)
         dense = np.zeros((R,) * f.d, dtype=complex)
-        idx = sp._embed_index(f.M, R)
+        idx = np.arange(-f.M, f.M + 1) % R
         dense[np.ix_(idx, idx)] = f.coeffs
         vals = np.fft.ifftn(dense) * R**f.d
         assert np.max(np.abs(vals.imag)) <= 1e-12 * max(1.0, np.max(np.abs(vals.real)))
