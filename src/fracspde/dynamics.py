@@ -331,8 +331,12 @@ class GridPass(sp.GridTransform):
     axis, where neither product aliases onto ||k||_inf <= M (the 2/3 rule).
     The products come back in one forward transform.  V has its own
     GridTransform, so its work arrays never alias those of the channels.
-    Products with a block go one component at a time and with complex
-    multipliers: numpy takes buffers for a broadcast or a cast.
+    The channels are half blocks (k_last = 0..M, see GridTransform): a pass
+    reads the strided half of u once, into the u channel or a half scratch,
+    and forms the gradient and inverse-Laplacian products from it with
+    half-size multipliers; V's half is written from the modes with
+    m_last >= 0.  Products with a block go one component at a time and with
+    complex multipliers: numpy takes buffers for a broadcast or a cast.
     """
 
     def __init__(self, d: int, M: int, zeta: str = "none", noise=None):
@@ -341,12 +345,16 @@ class GridPass(sp.GridTransform):
         super().__init__(d, M, max(3 * M + 1, 2 * M + N + 1))
         self.zeta, self.center = zeta, (M,) * d
         self.ksq = np.asarray(sp._ksq_grid(d, M))
-        self.grad = np.stack([sp.TWO_PI * 1j * g for g in sp._mode_grids(d, M)])
         self.lap = 4.0 * np.pi**2 * self.ksq
+        # the half blocks k_last >= 0 of u, of the multipliers, and the half scratch
+        # (u without a u channel, or c of Keller-Segel)
+        self._upper = (Ellipsis, slice(M, None))
+        self.grad = np.stack([sp.TWO_PI * 1j * g[self._upper] for g in sp._mode_grids(d, M)])
         if zeta == "keller_segel":
             self.inv_lap = np.divide(1.0, self.lap, out=np.zeros_like(self.lap),
-                                     where=self.ksq > 0.0).astype(np.complex128)
-        # c of Keller-Segel or zeta - u of Fisher, the drift sum, the grid product temporary
+                                     where=self.ksq > 0.0)[self._upper].astype(np.complex128)
+        self._half = np.empty(self.grad.shape[1:], np.complex128)
+        # zeta - u of Fisher, the drift sum, the grid product temporary
         self._blk, self._drift = np.empty((2,) + self.ksq.shape, np.complex128)
         self._tmp = np.empty((self.R,) * d)
         self._layouts = [None] * 4  # by 2 * with_zeta + noise_on, built on first use
@@ -359,14 +367,23 @@ class GridPass(sp.GridTransform):
             q = np.ascontiguousarray((A * self.theta.half_values) * basis.q.transpose(1, 2, 0))
             pm = np.empty((2,) + q.shape[1:], dtype=np.complex128)
             self._vel_pm, self._vel_rows = (pm[0], pm[1]), [list(zip(qj, *pm)) for qj in q]
-            # V's plan: its input is zero off the support +-half, rewritten in full per call
+            # V's plan: its half input is zero off the support, rewritten in full per call
             self._vel = sp.GridTransform(d, N, self.R)
             self._vel_plan = self._vel.plan(d)
-            # flat positions in the input of pm = (V_m, V_{-m}), component-major
-            idx = np.stack([half, -half]) + N  # block indices of (m, -m), (2, n_half, d)
-            at = (np.arange(d)[:, None],) + tuple(idx[:, None, :, a] for a in range(d))
-            self._vel_at = np.ravel_multi_index(np.broadcast_arrays(*at),
+            # the modes m of V_m and -m of V_{-m} with a last component >= 0 (both of
+            # a pair with m_last = 0): flat positions in pm and in V's half input.
+            # Selected in Python: np.nonzero would fault in 64 kB more of numpy's
+            # code, in every process, for a few hundred modes
+            pos, neg = (np.array([i for i, m in enumerate(half.tolist()) if sign * m[-1] >= 0],
+                                 np.int64) for sign in (1, -1))
+            comp = np.arange(d)[:, None]
+            self._vel_src = np.concatenate([comp * len(half) + pos,
+                                            pm[0].size + comp * len(half) + neg], axis=1).ravel()
+            at = np.concatenate([half[pos], -half[neg]]) + N
+            at[:, -1] -= N
+            self._vel_at = np.ravel_multi_index(np.broadcast_arrays(comp, *at.T),
                                                 self._vel_plan.input.shape).ravel()
+            self._vel_kept = np.empty(len(self._vel_src), np.complex128)
             self._vel_flat, self._vel_pm_flat = self._vel_plan.input.reshape(-1), pm.reshape(-1)
             self._vel_g = tuple(self._vel_plan.output)
 
@@ -378,7 +395,8 @@ class GridPass(sp.GridTransform):
                 if j:
                     v += tmp
         np.conjugate(*self._vel_pm)
-        self._vel_flat[self._vel_at] = self._vel_pm_flat
+        self._vel_pm_flat.take(self._vel_src, 0, self._vel_kept, "clip")
+        self._vel_flat[self._vel_at] = self._vel_kept
         self._vel._to_grid(self._vel_plan)
         return self._vel_g
 
@@ -388,7 +406,8 @@ class GridPass(sp.GridTransform):
         hi = lo + self.d * (ks or noise_on)
         to, back = self.plan(hi + self.d * ks), self.plan(lo + noise_on, from_grid=True)
         lay = self._layouts[2 * with_zeta + noise_on] = SimpleNamespace(
-            to=to, back=back, ks=ks, lo=lo, u=to.input[:1], g=tuple(to.output),
+            to=to, back=back, ks=ks, lo=lo, u=to.input[0] if with_zeta else self._half,
+            g=tuple(to.output),
             grad_u=list(zip(self.grad, to.input[lo:hi])), p=tuple(back.input),
             grad_c=list(zip(self.grad, to.input[hi:])), h=tuple(back.output))
         return lay
@@ -404,12 +423,11 @@ class GridPass(sp.GridTransform):
         noise_on = dw is not None
         lay = self._layouts[2 * with_zeta + noise_on] or self._layout(with_zeta, noise_on)
         d, ks, lo, g, p, h, tmp = self.d, lay.ks, lay.lo, lay.g, lay.p, lay.h, self._tmp
-        if with_zeta:
-            lay.u[0] = block
+        lay.u[...] = block[self._upper]
         for grad, chan in lay.grad_u:
-            np.multiply(grad, block, out=chan)
+            np.multiply(grad, lay.u, out=chan)
         if ks:
-            c = np.multiply(block, self.inv_lap, out=self._blk)
+            c = np.multiply(lay.u, self.inv_lap, out=self._half)
             for grad, chan in lay.grad_c:
                 np.multiply(grad, c, out=chan)
         self._to_grid(lay.to)

@@ -26,15 +26,17 @@ def resolve_workers(explicit: Optional[int] = None) -> int:
     """Worker count: explicit flag, else FRACSPDE_THREADS, else all cores.
 
     Capped at the cores this process may run on, so a large request does not
-    start that many processes.
+    start that many processes.  A count below 1, from either source, is refused.
     """
     env = os.environ.get("FRACSPDE_THREADS")
     if explicit is None and env:
         try:
-            explicit = max(1, int(env))
+            explicit = int(env)
         except ValueError:
             raise InvalidParameterError(
                 f"FRACSPDE_THREADS must be an integer, got {env!r}") from None
+        if explicit < 1:
+            raise InvalidParameterError(f"FRACSPDE_THREADS must be >= 1, got {env!r}")
     if explicit is not None and explicit < 1:
         raise InvalidParameterError(f"worker count must be >= 1, got {explicit}")
     if hasattr(os, "sched_getaffinity"):

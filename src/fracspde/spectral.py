@@ -271,19 +271,30 @@ class GridTransform:
     """Pruned matrix DFTs between blocks on ||k||_inf <= M and R^d point values.
 
     One matmul per axis: only the 2M+1 retained frequencies go in and come
-    out, and on blocks this small that beats an FFT call.  The last inverse
-    axis and the first forward axis run in real arithmetic on the interleaved
-    float view of the complex data.  Any R >= 2M+1 works; it is not rounded to
-    a power of two.  Each direction and channel count has one plan, built on
-    first use and shared by every caller with that count, so a returned array
-    is valid only until the next run of the same plan.
+    out, and on blocks this small that beats an FFT call.  Any R >= 2M+1
+    works; it is not rounded to a power of two.  The grid values are real, so
+    the block is Hermitian and its k_last < 0 half is the conjugate mirror of
+    the rest; both directions carry only the half block (n, ..., n, M+1) of
+    k_last = 0..M, as the r2c/c2r transforms of FFTW do.  The inverse takes a
+    half block (the k_last < 0 half of a Hermitian block is never read) and
+    ends with a real matmul on its interleaved float view, the rows of
+    k_last > 0 counted twice: its output is Re sum.  The forward keeps the
+    k_last >= 0 columns of its first, real, matmul, runs the other axes on
+    the half, and rebuilds the full block by one gather from the half and its
+    conjugate, (x_k + conj(x_{-k})) / 2 entry by entry: exactly Hermitian,
+    with an exactly real mean mode.  Each direction and channel count has one
+    plan, built on first use and shared by every caller with that count, so a
+    returned array is valid only until the next run of the same plan.
     """
 
     def __init__(self, d: int, M: int, R: int):
         self.d, self.M, self.R = d, M, R
-        self._E, self._E_re = _dft_pair(M, R)
-        # forward: F = conj(E).T / R, and grids @ F_re viewed as complex is grids @ F.T
-        self._F, self._F_re = self._E.conj().T / R, self._E_re.T / R
+        self._E, E_re = _dft_pair(M, R)
+        # forward: F = conj(E).T / R, and grids @ F_re viewed as complex is grids @ F.T;
+        # the first matmul also takes the 1/2 of the projection (exact, a power of 2)
+        self._F, self._F_half = self._E.conj().T / R, np.ascontiguousarray(E_re[2 * M:].T / (2 * R))
+        # the k_last < 0 half adds the conjugate of the k_last > 0 rows: their Re twice
+        self._E_half = E_re[2 * M:] * np.repeat([1.0] + [2.0] * M, 2)[:, None]
         self._plans = {}
 
     def plan(self, C: int, from_grid: bool = False) -> TransformPlan:
@@ -293,36 +304,51 @@ class GridTransform:
         return self._plans[C, from_grid]
 
     def _to_plan(self, C: int) -> TransformPlan:
-        n, R, ops = 2 * self.M + 1, self.R, []
-        x = stack = np.zeros((C,) + (n,) * self.d, dtype=np.complex128)
-        for ax in range(self.d - 1):
-            a = x.reshape(C * R**ax, n, -1)
+        n, R, d, ops = 2 * self.M + 1, self.R, self.d, []
+        x = stack = np.zeros((C,) + (n,) * (d - 1) + (self.M + 1,), np.complex128)
+        # inner axes first: the batches of small matmuls number C n^ax, not C R^ax
+        for ax in reversed(range(d - 1)):
+            a = x.reshape(C * n**ax, n, -1)
             x = np.empty((len(a), R, a.shape[2]), np.complex128)
             ops.append((np.matmul, (self._E, a, x)))
-        a, x = x.reshape(-1, n).view(np.float64), np.empty((C * R ** (self.d - 1), R))
-        ops.append((np.matmul, (a, self._E_re, x)))
-        return TransformPlan(stack, tuple(ops), x.reshape((C,) + (R,) * self.d))
+        a, x = x.reshape(-1, self.M + 1).view(np.float64), np.empty((C * R ** (d - 1), R))
+        ops.append((np.matmul, (a, self._E_half, x)))
+        return TransformPlan(stack, tuple(ops), x.reshape((C,) + (R,) * d))
 
     def _from_plan(self, C: int) -> TransformPlan:
         n, R, d = 2 * self.M + 1, self.R, self.d
-        grids, x = np.zeros((C,) + (R,) * d), np.empty((C * R ** (d - 1), 2 * n))
-        ops = [(np.matmul, (grids.reshape(-1, R), self._F_re, x))]
+        grids, x = np.zeros((C,) + (R,) * d), np.empty((C * R ** (d - 1), 2 * (self.M + 1)))
+        ops = [(np.matmul, (grids.reshape(-1, R), self._F_half, x))]
         x = x.view(np.complex128)
-        for ax in reversed(range(d - 1)):
-            a = x.reshape(C * R**ax, R, -1)
-            x = np.empty((len(a), n, a.shape[2]), np.complex128)
+        # [x/2, conj(x/2)]: the half blocks (C, n, ..., n, M+1) and their conjugates
+        both = np.empty((2, C) + (n,) * (d - 1) + (self.M + 1,), np.complex128)
+        for ax in range(d - 1):  # inner axes last, as in _to_plan
+            a = x.reshape(C * n**ax, R, -1)
+            x = (np.empty((len(a), n, a.shape[2]), np.complex128) if ax < d - 2
+                 else both[0].reshape(len(a), n, -1))
             ops.append((np.matmul, (self._F, a, x)))
-        x, out = x.reshape((C,) + (n,) * d), np.empty((C,) + (n,) * d, np.complex128)
-        # (conj(x_{-k}) + x_k) / 2, x_{-k} from a channel's flat block reversed (1-D:
-        # numpy takes no buffer); at k = 0 the imaginary part is -a + a, exactly +0.0
-        ops += [(np.conjugate, (c[::-1], o)) for c, o in zip(x.reshape(C, -1), out.reshape(C, -1))]
-        ops += [(np.add, (out, x, out)), (np.multiply, (out, 0.5, out))]
+        # out_k is the sum of two terms of `both`: x_k/2 and conj(x_{-k})/2 on
+        # k_last = 0, x_k/2 twice on k_last > 0, conj(x_{-k})/2 twice on k_last < 0.
+        # Their flat positions in `both` for channel 0 (a conjugate at -k: the half
+        # reversed on every axis), then for every channel; at k = 0 the imaginary
+        # part of the sum is a - a, exactly +0.0
+        at = np.arange(both[0, 0].size).reshape(both.shape[2:])
+        mirror = at[(slice(None, None, -1),) * d] + C * at.size
+        first = np.concatenate([mirror[..., :self.M], at], axis=-1)
+        second = np.concatenate([mirror, at[..., 1:]], axis=-1)
+        take = np.stack([first, second]).reshape(2, 1, -1) + at.size * np.arange(C)[:, None]
+        terms = np.empty(take.shape, np.complex128)
+        out = np.empty((C,) + (n,) * d, np.complex128)
+        ops += [(np.conjugate, (both[0], both[1])),
+                (both.reshape(-1).take, (take, None, terms, "clip")),
+                (np.add, (terms[0], terms[1], out.reshape(C, -1)))]
         return TransformPlan(grids, tuple(ops), out)
 
     def _to_grid(self, plan: TransformPlan) -> np.ndarray:
-        """Run a plan: the real point values (C, R, ..., R) of the blocks (C, n, ..., n)
-        in plan.input, or for a from-grid plan (_from_grid) the Hermitian-exact
-        coefficients on ||k||_inf <= M of the real grids in plan.input."""
+        """Run a plan: the real point values (C, R, ..., R) of the half blocks
+        (C, n, ..., n, M+1) in plan.input, or for a from-grid plan (_from_grid)
+        the Hermitian-exact coefficients (C, n, ..., n) on ||k||_inf <= M of the
+        real grids in plan.input."""
         for op, args in plan.ops:
             op(*args)
         return plan.output
@@ -331,14 +357,18 @@ class GridTransform:
 
 
 def to_grid(f: SpectralField, dealias: bool = True, resolution: int | None = None) -> GridField:
-    """Evaluate the field on the equispaced grid (a GridTransform at that resolution)."""
+    """Evaluate the field on the equispaced grid (a GridTransform at that resolution).
+
+    The block is taken to be Hermitian, as a SpectralField's is: its half with
+    k_last < 0 is not read.
+    """
     R = resolution if resolution is not None else grid_resolution(f.M, dealias)
     if R < (3 * f.M + 1 if dealias else 2 * f.M + 1):
         raise InvalidParameterError(
             f"resolution {R} too small for M = {f.M} (dealias={dealias})"
         )
     transform = GridTransform(f.d, f.M, R)
-    transform.plan(1).input[0] = f.coeffs
+    transform.plan(1).input[0] = f.coeffs[..., f.M:]
     return GridField(f.d, R, transform._to_grid(transform.plan(1))[0])
 
 

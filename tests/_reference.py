@@ -10,6 +10,10 @@ slices).  Used to pin the beta = 1 regression of the Volterra stepper.
 DenseHistory is the exact O(n^2) Volterra history with the interface of
 fractional.VolterraHistory; tests substitute it to get the exact path.
 
+dense_to_grid and dense_from_grid are the grid transforms as direct sums
+over every mode and every grid point, with no factorization by axis and no
+use of the Hermitian symmetry; spectral.GridTransform must reproduce them.
+
 survival_from_times and survival_csv are the per-time-point loop and the
 row-by-row writer that experiments.survival_from_times and io.write_survival
 must reproduce exactly; trajectory_csv is the cell-by-cell writer that
@@ -93,6 +97,25 @@ def independent_euler_maruyama(cfg, run_index=0):
         u = u + cfg.dt * g + t_blk
         out.append(u.copy())
     return out
+
+
+def _phases(d, M, R):
+    """exp(2 pi i x.k / R) for every grid point x (rows) and mode k (columns)."""
+    x = np.indices((R,) * d).reshape(d, -1).T
+    k = np.indices((2 * M + 1,) * d).reshape(d, -1).T - M
+    return np.exp(2j * math.pi * ((x @ k.T) % R) / R)
+
+
+def dense_to_grid(coeffs, R):
+    """Point values sum_k c_k exp(2 pi i k.x) on the R^d grid (complex)."""
+    d, M = coeffs.ndim, coeffs.shape[0] // 2
+    return (_phases(d, M, R) @ coeffs.ravel()).reshape((R,) * d)
+
+
+def dense_from_grid(values, M):
+    """Coefficients R^-d sum_x v_x exp(-2 pi i k.x) on ||k||_inf <= M."""
+    d, R = values.ndim, values.shape[0]
+    return (values.ravel() @ _phases(d, M, R).conj() / R**d).reshape((2 * M + 1,) * d)
 
 
 class DenseHistory:

@@ -256,3 +256,9 @@ class TestWorkers:
         monkeypatch.setenv("FRACSPDE_THREADS", value)
         with pytest.raises(InvalidParameterError, match="FRACSPDE_THREADS"):
             xp.resolve_workers(None)
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_non_positive_env_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("FRACSPDE_THREADS", value)
+        with pytest.raises(InvalidParameterError, match="FRACSPDE_THREADS"):
+            xp.resolve_workers(None)

@@ -208,6 +208,8 @@ class TestTransport:
         # M == N: the velocity and channel grids have equal shapes
         pytest.param(2, 2, 2, 10, 0.8, id="d2-M2-N2"),
         pytest.param(3, 2, 2, 11, 1.2, id="d3-M2-N2"),
+        # N > M at d = 3: the velocity half block has planes m_last = 0 and m_last > M
+        pytest.param(3, 2, 3, 12, 1.0, id="d3-M2-N3"),
     ])
     def test_matches_bruteforce_shift_sum(self, d, M, N, seed, A):
         u, th, basis, inc = self._setup(d=d, M=M, N=N, seed=seed)

@@ -157,6 +157,32 @@ class TestGridTransforms:
         back = sp.from_grid(sp.to_grid(f, resolution=3 * M + 1), f.M)
         assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-12
 
+    # R = 2M+1, an odd R above it and an even R (3M+1 or 3M+2)
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("M", [1, 2, 4])
+    @pytest.mark.parametrize("R", ["2M+1", "odd", "even"])
+    def test_transforms_match_dense_sums(self, d, M, R):
+        from _reference import dense_from_grid, dense_to_grid
+
+        R = {"2M+1": 2 * M + 1, "odd": 3 * M + 1 + (M % 2 == 1),
+             "even": 3 * M + 1 + (M % 2 == 0)}[R]
+        f = random_field(30 + M, d=d, M=M, mean=0.4)
+        ref = dense_to_grid(f.coeffs, R)
+        assert np.max(np.abs(sp.to_grid(f, dealias=False, resolution=R).values - ref)) <= 1e-13
+        values = np.random.default_rng(40 + M).standard_normal((R,) * d)
+        got = sp.from_grid(sp.GridField(d, R, values), M).coeffs
+        assert np.max(np.abs(got - dense_from_grid(values, M))) <= 1e-13
+
+    @pytest.mark.parametrize("d,M,R", [(2, 4, 13), (2, 3, 8), (3, 2, 7), (3, 3, 10)])
+    def test_from_grid_exactly_hermitian(self, d, M, R):
+        # a random grid is not band-limited, and the rounding of its transform is
+        # not symmetric in k and -k; the projected output is Hermitian to the bit
+        values = np.random.default_rng(50 + d * M).standard_normal((R,) * d)
+        c = sp.from_grid(sp.GridField(d, R, values), M).coeffs
+        rev = (slice(None, None, -1),) * d
+        assert np.array_equal(c, np.conj(c[rev]))
+        assert c[(M,) * d].imag == 0.0
+
     def test_grid_is_real_valued(self):
         f = random_field(12)
         g = sp.to_grid(f)
