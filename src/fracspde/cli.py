@@ -14,8 +14,16 @@ from . import dynamics as dyn
 from . import experiments as xp
 from . import io as io_mod
 from . import noise as noise_mod
-from .errors import FracSpdeError
+from .errors import FracSpdeError, InvalidParameterError
 from .fractional import mittag_leffler, solve_caputo_scalar_ode
+
+
+def _comma_list(cast):
+    """argparse type: comma list of `cast` values, empty items skipped."""
+    def parse(text: str) -> list:
+        return [cast(x) for x in text.split(",") if x.strip()]
+    parse.__name__ = f"comma list of {cast.__name__}"  # argparse names it in errors
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delay-study", help="blow-up delay across noise levels")
     p.add_argument("--config", required=True)
-    p.add_argument("--levels", default="0,2,4", help="comma list of theta cutoffs N")
+    p.add_argument("--levels", default="0,2,4", type=_comma_list(int),
+                   help="comma list of theta cutoffs N")
     p.add_argument("--runs", type=int, required=True)
 
     p = sub.add_parser("probe", help="empirical growth-condition probe")
@@ -54,12 +63,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--exponents",
         default=None,
+        type=_comma_list(float),
         help="a1,g1,a2,g2,a3,g3,eta (default: the proved values for the model)",
     )
 
     p = sub.add_parser("dichotomy", help="scalar mean-field blow-up dichotomy")
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--x0", required=True, help="comma list of initial means")
+    p.add_argument("--x0", required=True, type=_comma_list(float),
+                   help="comma list of initial means")
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--t-end", type=float, default=20.0)
     p.add_argument("--threshold", type=float, default=1e6)
@@ -73,6 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--rhs",
         default="fisher",
+        type=_parse_rhs,
         help="'fisher' for x^2 - x, or 'linear:<lam>' for lam*x",
     )
 
@@ -101,7 +113,7 @@ def _parse_rhs(spec: str):
     if spec.startswith("linear:"):
         lam = float(spec.split(":", 1)[1])
         return lambda x: lam * x
-    raise FracSpdeError(f"unknown rhs {spec!r}; use 'fisher' or 'linear:<lam>'")
+    raise argparse.ArgumentTypeError(f"unknown rhs {spec!r}; use 'fisher' or 'linear:<lam>'")
 
 
 def _cmd_simulate(args) -> int:
@@ -127,18 +139,8 @@ def _cmd_ensemble(args) -> int:
 
 def _cmd_delay_study(args) -> int:
     cfg = _load_config(args)
-    levels = [int(x) for x in args.levels.split(",") if x.strip() != ""]
-    result = xp.delay_study(cfg, levels, args.runs, workers=args.threads)
-    grid = np.arange(cfg.n_steps + 1) * cfg.dt
-    curves = [
-        xp.SurvivalCurve(
-            noise_N=lv.noise_N, b=lv.b, A=lv.A, times=grid,
-            fraction=xp.survival_from_times(grid, lv.blowup_times),
-            n_runs=result.n_runs, blowup_times=lv.blowup_times, base_seed=cfg.seed,
-        )
-        for lv in result.levels
-    ]
-    io_mod.write_survival(curves, args.out, cfg.config_hash(), cfg.seed)
+    result = xp.delay_study(cfg, args.levels, args.runs, workers=args.threads)
+    io_mod.write_survival(result.curves, args.out, cfg.config_hash(), cfg.seed)
     paths = io_mod.write_delay_study(result, args.out, cfg.config_hash())
     print(json.dumps({
         "reference_time": result.reference_time,
@@ -151,12 +153,11 @@ def _cmd_delay_study(args) -> int:
 
 def _cmd_probe(args) -> int:
     kind = "keller_segel" if args.zeta == "ks" else "fisher"
-    if args.exponents:
-        vals = [float(x) for x in args.exponents.split(",")]
-        names = ["a1", "g1", "a2", "g2", "a3", "g3", "eta"]
-        exps = dict(zip(names, vals))
-    else:
-        exps = dict(xp.GROWTH_EXPONENTS[kind])
+    names = ["a1", "g1", "a2", "g2", "a3", "g3", "eta"]
+    if args.exponents and len(args.exponents) != len(names):
+        raise InvalidParameterError(f"--exponents takes {len(names)} values "
+                                    f"({','.join(names)}), got {len(args.exponents)}")
+    exps = dict(zip(names, args.exponents)) if args.exponents else dict(xp.GROWTH_EXPONENTS[kind])
     seed = args.seed if args.seed is not None else 0
     rng = np.random.default_rng(seed)
     report = xp.probe_hypothesis(kind, exps, args.samples, rng)
@@ -171,15 +172,14 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_dichotomy(args) -> int:
-    x0s = [float(x) for x in args.x0.split(",")]
-    table = xp.fisher_mean_dichotomy(args.beta, x0s, args.dt, args.t_end, args.threshold)
+    table = xp.fisher_mean_dichotomy(args.beta, args.x0, args.dt, args.t_end, args.threshold)
     print(json.dumps({str(k): v for k, v in table.items()}, indent=2))
     return 0
 
 
 def _cmd_ode(args) -> int:
     traj = solve_caputo_scalar_ode(
-        _parse_rhs(args.rhs), args.beta, args.x0, args.dt, args.t_end, args.threshold
+        args.rhs, args.beta, args.x0, args.dt, args.t_end, args.threshold
     )
     tag = f"ode_beta{args.beta:g}"
     paths = io_mod.write_scalar_trajectory(traj, args.out, tag)

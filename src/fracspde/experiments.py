@@ -104,16 +104,19 @@ def _run_one(args) -> RunSummary:
     )
 
 
-def _run_ensemble(cfg: dyn.SimConfig, n_runs: int, workers: Optional[int]) -> List[RunSummary]:
-    jobs = [(cfg, k) for k in range(n_runs)]
-    w = min(resolve_workers(workers), n_runs)
+def _run_ensembles(cfgs: List[dyn.SimConfig], n_runs: int,
+                   workers: Optional[int]) -> List[List[RunSummary]]:
+    """Runs 0..n_runs-1 of each config from one job list on one pool, grouped per config."""
+    if n_runs < 1:
+        raise InvalidParameterError(f"n_runs must be >= 1, got {n_runs}")
+    jobs = [(cfg, k) for cfg in cfgs for k in range(n_runs)]
+    w = min(resolve_workers(workers), len(jobs))
     if w <= 1:
         results = [_run_one(j) for j in jobs]
     else:
         with ProcessPoolExecutor(max_workers=w) as pool:
-            results = list(pool.map(_run_one, jobs, chunksize=max(1, n_runs // (4 * w))))
-    results.sort(key=lambda r: r.run_index)
-    return results
+            results = list(pool.map(_run_one, jobs, chunksize=max(1, len(jobs) // (4 * w))))
+    return [results[i : i + n_runs] for i in range(0, len(jobs), n_runs)]
 
 
 def survival_from_times(
@@ -122,6 +125,23 @@ def survival_from_times(
     """Share of the runs still alive at each grid time (a run blows up at t <= time)."""
     finite = np.sort([t for t in blowup_times if t is not None])
     return 1.0 - np.searchsorted(finite, grid, side="right") / max(len(blowup_times), 1)
+
+
+def _curve(cfg: dyn.SimConfig, summaries: List[RunSummary]) -> SurvivalCurve:
+    grid = np.arange(cfg.n_steps + 1) * cfg.dt
+    bts = [s.blowup_time for s in summaries]
+    A = (noise_mod.amplitude_A(cfg.b, noise_mod.make_theta_cutoff(cfg.noise_N, cfg.d))
+         if cfg.noise_N else 0.0)
+    return SurvivalCurve(
+        noise_N=cfg.noise_N,
+        b=cfg.b,
+        A=A,
+        times=grid,
+        fraction=survival_from_times(grid, bts),
+        n_runs=len(summaries),
+        blowup_times=bts,
+        base_seed=cfg.seed,
+    )
 
 
 def ensemble_survival(
@@ -136,28 +156,9 @@ def ensemble_survival(
     out of (base_seed, k), so the curve is reproducible and independent of
     worker scheduling.
     """
-    if n_runs < 1:
-        raise InvalidParameterError(f"n_runs must be >= 1, got {n_runs}")
     if base_seed is not None:
         cfg = replace(cfg, seed=int(base_seed))
-    summaries = _run_ensemble(cfg, n_runs, workers)
-    grid = np.arange(cfg.n_steps + 1) * cfg.dt
-    bts = [s.blowup_time for s in summaries]
-    if cfg.noise_N > 0:
-        theta = noise_mod.make_theta_cutoff(cfg.noise_N, cfg.d)
-        A = noise_mod.amplitude_A(cfg.b, theta)
-    else:
-        A = 0.0
-    return SurvivalCurve(
-        noise_N=cfg.noise_N,
-        b=cfg.b,
-        A=A,
-        times=grid,
-        fraction=survival_from_times(grid, bts),
-        n_runs=n_runs,
-        blowup_times=bts,
-        base_seed=cfg.seed,
-    )
+    return _curve(cfg, *_run_ensembles([cfg], n_runs, workers))
 
 
 def _median_with_censoring(blowup_times: List[Optional[float]]) -> float:
@@ -187,6 +188,7 @@ class DelayStudyResult:
     n_runs: int
     base_seed: int
     t_end: float
+    curves: List[SurvivalCurve] = field(repr=False)  # the levels' curves, in level order
 
 
 def delay_study(
@@ -202,54 +204,41 @@ def delay_study(
     deterministic reference equation (no noise, no corrector).  Run k of
     every level shares its initial field and its Brownian draws on common
     modes, which is what makes the ordering statistics comparable at desk
-    scale.
+    scale.  Every (level, run) trajectory, the level-0 reference included
+    when level 0 is not requested, comes from one job list and one pool.
     """
-    if not noise_levels:
-        raise InvalidParameterError("noise_levels must be nonempty")
+    ns = [int(N) for N in noise_levels]
+    if not ns or len(set(ns)) != len(ns):
+        raise InvalidParameterError(f"noise_levels must be nonempty and distinct, got {ns}")
     if base_cfg.init.get("mean", 0.0) <= 1.0 and "delta0" in base_cfg.init:
         raise InvalidParameterError(
             "delay_study needs initial data that blows up deterministically (mean > 1)"
         )
+    cfgs = [dyn.with_noise_level(base_cfg, N) for N in ns]
+    if 0 not in ns:  # the deterministic reference, not reported as a level
+        cfgs.append(dyn.with_noise_level(base_cfg, 0))
+    curves = [_curve(c, s) for c, s in zip(cfgs, _run_ensembles(cfgs, n_runs, workers))]
+    ref = _median_with_censoring(next(c for c in curves if c.noise_N == 0).blowup_times)
+    del curves[len(ns):]
     levels = []
-    curves = {}
-    for N in noise_levels:
-        cfg_n = dyn.with_noise_level(base_cfg, int(N))
-        curves[int(N)] = ensemble_survival(cfg_n, n_runs, workers=workers)
-
-    if 0 in curves:
-        ref = _median_with_censoring(curves[0].blowup_times)
-    else:
-        det = ensemble_survival(dyn.with_noise_level(base_cfg, 0), n_runs, workers=workers)
-        ref = _median_with_censoring(det.blowup_times)
-
-    for N in noise_levels:
-        N = int(N)
-        curve = curves[N]
-        if N > 0:
-            theta = noise_mod.make_theta_cutoff(N, base_cfg.d)
-            ratio = theta.linf_norm / theta.l2_norm
-        else:
-            ratio = None
-        alive_at_ref = sum(
-            1 for t in curve.blowup_times if t is None or t > ref
-        )
-        levels.append(
-            DelayLevel(
-                noise_N=N,
-                b=curve.b,
-                A=curve.A,
-                linf_l2_ratio=ratio,
-                median_blowup=_median_with_censoring(curve.blowup_times),
-                survival_at_reference=alive_at_ref / n_runs,
-                blowup_times=curve.blowup_times,
-            )
-        )
+    for c in curves:
+        theta = noise_mod.make_theta_cutoff(c.noise_N, base_cfg.d) if c.noise_N else None
+        levels.append(DelayLevel(
+            noise_N=c.noise_N,
+            b=c.b,
+            A=c.A,
+            linf_l2_ratio=theta.linf_norm / theta.l2_norm if theta else None,
+            median_blowup=_median_with_censoring(c.blowup_times),
+            survival_at_reference=sum(t is None or t > ref for t in c.blowup_times) / n_runs,
+            blowup_times=c.blowup_times,
+        ))
     return DelayStudyResult(
         levels=levels,
         reference_time=ref,
         n_runs=n_runs,
         base_seed=base_cfg.seed,
         t_end=base_cfg.t_end,
+        curves=curves,
     )
 
 

@@ -98,6 +98,15 @@ def run_directory(out_dir, config_hash: str) -> Path:
 def write_manifest(
     dest: Path, config_hash: str, base_seed: int, outputs: List[str]
 ) -> Path:
+    """manifest.json listing `outputs` and the files it already lists that still exist:
+    writers share a run directory (a delay study writes survival.csv, then delay.json)."""
+    path = dest / "manifest.json"
+    try:
+        old = json.loads(path.read_text())
+    except (FileNotFoundError, json.JSONDecodeError):  # none yet, or a truncated one
+        old = {}
+    if old.get("config_hash") == config_hash:
+        outputs = {*outputs, *(n for n in old["outputs"] if (dest / n).exists())}
     manifest = {
         "config_hash": config_hash,
         "tool_version": __version__,
@@ -105,7 +114,6 @@ def write_manifest(
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": sorted(outputs),
     }
-    path = dest / "manifest.json"
     _dump_json(manifest, path)
     return path
 

@@ -294,6 +294,28 @@ class TestCli:
         assert next((tmp_path / "o").rglob("plot_results.py")).exists()
         surv = next((tmp_path / "o").rglob("survival.csv"))
         assert surv.read_text().splitlines()[0] == "time,level_0,level_1"
+        manifest = json.loads((surv.parent / "manifest.json").read_text())
+        assert manifest["outputs"] == ["delay.json", "plot_results.py", "survival.csv"]
+
+    @pytest.mark.parametrize("argv, named", [
+        (["delay-study", "--config", "CFG", "--levels", "0,a", "--runs", "2"], "--levels"),
+        (["delay-study", "--config", "CFG", "--levels", "0,2,2", "--runs", "2"], "distinct"),
+        (["dichotomy", "--beta", "1.0", "--x0", "0.5,two"], "--x0"),
+        (["probe", "--zeta", "fisher", "--exponents", "1,0.5,1.5,1.5,1,1,e"], "--exponents"),
+        (["probe", "--zeta", "fisher", "--exponents", "1,0.5,1.5,1.5,1,1,1,1"], "7 values"),
+        (["ode", "--beta", "1.0", "--x0", "1.0", "--dt", "1e-3", "--t-end", "0.1",
+          "--rhs", "linear:fast"], "--rhs"),
+    ], ids=["levels", "duplicate-levels", "x0", "exponents", "exponent-count", "rhs"])
+    def test_bad_list_input_exit_code(self, tmp_path, capsys, argv, named):
+        cfg_path = str(write_config(tmp_path, {"beta": 1.0, "noise_N": 0}))
+        argv = [cfg_path if a == "CFG" else a for a in argv]
+        try:
+            rc = cli.main(["--out", str(tmp_path / "o"), *argv])
+        except SystemExit as exc:  # refused by the argument parser
+            rc = exc.code
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_probe_subcommand(self, tmp_path, capsys):
         rc = cli.main(["--out", str(tmp_path / "o"), "--seed", "4",

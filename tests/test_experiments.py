@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -90,7 +91,92 @@ class TestSurvivalFromTimes:
         assert got[-1] == pytest.approx(sum(t is None for t in times) / len(times))
 
 
+NOISY = dict(init={"mean": 1.3, "delta0": 0.5}, b=1.0, t_end=3.0)
+
+
+def curve_fields(c):
+    return (c.noise_N, c.b, c.A, c.n_runs, c.base_seed, c.blowup_times,
+            c.times.tolist(), c.fraction.tolist())
+
+
+class CountingPool(xp.ProcessPoolExecutor):
+    started = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).started += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def study_012():
+    return xp.delay_study(blowup_cfg(**NOISY), [0, 1, 2], n_runs=2, workers=1)
+
+
 class TestDelayStudy:
+    def test_reference_without_level_zero(self, study_012):
+        res = xp.delay_study(blowup_cfg(**NOISY), [1, 2], n_runs=2, workers=1)
+        assert res.reference_time == study_012.reference_time
+        assert res.levels == study_012.levels[1:]
+        assert [c.noise_N for c in res.curves] == [1, 2]
+
+    def test_workers_do_not_change_result(self, study_012, monkeypatch):
+        monkeypatch.setattr(xp, "resolve_workers", lambda workers: workers)  # a pool of 2
+        res = xp.delay_study(blowup_cfg(**NOISY), [0, 1, 2], n_runs=2, workers=2)
+        assert res.reference_time == study_012.reference_time
+        assert res.levels == study_012.levels
+        assert [curve_fields(c) for c in res.curves] == [
+            curve_fields(c) for c in study_012.curves]
+
+    def test_curves_match_ensemble_survival(self, study_012):
+        for N, curve in zip([0, 1, 2], study_012.curves):
+            want = xp.ensemble_survival(dyn.with_noise_level(blowup_cfg(**NOISY), N), 2,
+                                        workers=1)
+            assert curve_fields(curve) == curve_fields(want)
+            assert curve.blowup_times == study_012.levels[N].blowup_times
+
+    def test_one_pool_per_study(self, monkeypatch):
+        # level 0 is not requested, so its reference runs join the same job list
+        monkeypatch.setattr(xp, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(xp, "resolve_workers", lambda workers: 2)
+        CountingPool.started = 0
+        res = xp.delay_study(blowup_cfg(**NOISY), [1, 2], n_runs=2, workers=2)
+        assert CountingPool.started == 1
+        assert [lv.noise_N for lv in res.levels] == [1, 2]
+
+    def test_duplicate_levels_rejected_before_any_run(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a trajectory ran")
+
+        monkeypatch.setattr(xp.dyn, "integrate", no_run)
+        with pytest.raises(InvalidParameterError, match="distinct"):
+            xp.delay_study(blowup_cfg(**NOISY), [2, 2], n_runs=2, workers=1)
+
+    def test_cli_survival_matches_rebuild_from_levels(self, tmp_path, capsys):
+        # the table `fracspde delay-study` wrote when it rebuilt each curve from
+        # the level's blow-up times
+        from fracspde import cli
+        from fracspde import io as io_mod
+
+        cfg = blowup_cfg(**NOISY)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg.canonical_dict()))
+        assert cli.main(["--out", str(tmp_path / "cli"), "--threads", "2", "delay-study",
+                         "--config", str(cfg_path), "--levels", "0,1,2", "--runs", "2"]) == 0
+        capsys.readouterr()
+        res = xp.delay_study(cfg, [0, 1, 2], n_runs=2, workers=1)
+        grid = np.arange(cfg.n_steps + 1) * cfg.dt
+        rebuilt = [
+            xp.SurvivalCurve(
+                noise_N=lv.noise_N, b=lv.b, A=lv.A, times=grid,
+                fraction=xp.survival_from_times(grid, lv.blowup_times),
+                n_runs=res.n_runs, blowup_times=lv.blowup_times, base_seed=cfg.seed,
+            )
+            for lv in res.levels
+        ]
+        want = io_mod.write_survival(rebuilt, tmp_path / "rebuilt", cfg.config_hash(), cfg.seed)
+        got = next((tmp_path / "cli").rglob("survival.csv"))
+        assert got.read_bytes() == want["survival"].read_bytes()
+
     def test_level_zero_reproduces_deterministic_time(self):
         cfg = blowup_cfg()
         det = dyn.integrate(dyn.with_noise_level(cfg, 0))
