@@ -1,6 +1,7 @@
 """The regularized Galerkin system and its fractional time stepper.
 
-State is the coefficient block of u_M on ||k||_inf <= M.  The drift is
+State is the half block k_last = 0..M of the Hermitian coefficient block of
+u_M on ||k||_inf <= M (see spectral.GridTransform).  The drift is
 -(-Laplace)^s u + b*Laplace u + L_S(||u||_{H^-gamma}) Pi_M zeta(u); the noise
 is the spectral transport term with matched amplitude A.  Time stepping is
 the explicit Volterra-Euler recursion
@@ -136,6 +137,9 @@ class SimConfig:
     snapshot_stride: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise InvalidParameterError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.d not in (2, 3):
             raise InvalidParameterError(f"d must be 2 or 3, got {self.d}")
         if self.M < 1:
@@ -193,6 +197,10 @@ class SimConfig:
 def _validate_init_spec(init: dict):
     if not isinstance(init, dict):
         raise InvalidParameterError("init must be a mapping")
+    try:
+        json.dumps(init, allow_nan=False)
+    except ValueError as exc:  # NaN or +-inf somewhere in init
+        raise InvalidParameterError(f"init must hold finite numbers only, got {init}") from exc
     keys = set(init)
     if "coeffs" in keys:
         allowed = {"coeffs"}
@@ -266,8 +274,8 @@ def cutoff_value(r: float, S: float) -> float:
 
 def zeta_fisher(u: sp.SpectralField) -> sp.SpectralField:
     """Fisher-KPP nonlinearity u^2 - u, dealiased and truncated to M (the grid pass)."""
-    block = GridPass(u.d, u.M, "fisher").zeta_block(u.coeffs, True)[0]
-    return sp.SpectralField(u.d, u.M, block)
+    half = GridPass(u.d, u.M, "fisher").zeta_block(u.coeffs[..., u.M:], True)[0]
+    return sp.SpectralField(u.d, u.M, sp.hermitian_block(half))
 
 
 def zeta_keller_segel(rho: sp.SpectralField) -> sp.SpectralField:
@@ -275,8 +283,8 @@ def zeta_keller_segel(rho: sp.SpectralField) -> sp.SpectralField:
 
     Computed by the grid pass, whose output mean mode is exactly zero.
     """
-    block = GridPass(rho.d, rho.M, "keller_segel").zeta_block(rho.coeffs, True)[0]
-    return sp.SpectralField(rho.d, rho.M, block)
+    half = GridPass(rho.d, rho.M, "keller_segel").zeta_block(rho.coeffs[..., rho.M:], True)[0]
+    return sp.SpectralField(rho.d, rho.M, sp.hermitian_block(half))
 
 
 _ZETA_FUNCS = {"fisher": zeta_fisher, "keller_segel": zeta_keller_segel}
@@ -287,7 +295,8 @@ def drift(u: sp.SpectralField, cfg: SimConfig) -> sp.SpectralField:
     if (u.d, u.M) != (cfg.d, cfg.M):
         raise ShapeError(f"field has (d, M) = {(u.d, u.M)} but the config has {(cfg.d, cfg.M)}")
     lval = cutoff_value(sp.sobolev_norm(u, -cfg.gamma), cfg.S)
-    return sp.SpectralField(u.d, u.M, _Engine(cfg).drift_block(u.coeffs, lval)[0])
+    half = _Engine(cfg).drift_block(u.coeffs[..., u.M:], lval)[0]
+    return sp.SpectralField(u.d, u.M, sp.hermitian_block(half))
 
 
 @dataclass
@@ -331,10 +340,10 @@ class GridPass(sp.GridTransform):
     axis, where neither product aliases onto ||k||_inf <= M (the 2/3 rule).
     The products come back in one forward transform.  V has its own
     GridTransform, so its work arrays never alias those of the channels.
-    The channels are half blocks (k_last = 0..M, see GridTransform): a pass
-    reads the strided half of u once, into the u channel or a half scratch,
-    and forms the gradient and inverse-Laplacian products from it with
-    half-size multipliers; V's half is written from the modes with
+    Every block is a half block (k_last = 0..M, see GridTransform): the
+    input u, the multipliers, the channels and the outputs, whose
+    k_last = 0 plane is not symmetrized (the inverse transform reads only
+    its Hermitian part).  V's half is written from the modes with
     m_last >= 0.  Products with a block go one component at a time and with
     complex multipliers: numpy takes buffers for a broadcast or a cast.
     """
@@ -343,18 +352,15 @@ class GridPass(sp.GridTransform):
         """noise is None or the (theta, basis, A) of the transport term."""
         N = 0 if noise is None else int(np.max(np.abs(noise[0].half_modes)))
         super().__init__(d, M, max(3 * M + 1, 2 * M + N + 1))
-        self.zeta, self.center = zeta, (M,) * d
-        self.ksq = np.asarray(sp._ksq_grid(d, M))
+        # the mean mode and the multipliers on the half block
+        self.zeta, self.center = zeta, (M,) * (d - 1) + (0,)
+        self.ksq = sp._ksq_grid(d, M)[..., M:]
         self.lap = 4.0 * np.pi**2 * self.ksq
-        # the half blocks k_last >= 0 of u, of the multipliers, and the half scratch
-        # (u without a u channel, or c of Keller-Segel)
-        self._upper = (Ellipsis, slice(M, None))
-        self.grad = np.stack([sp.TWO_PI * 1j * g[self._upper] for g in sp._mode_grids(d, M)])
+        self.grad = np.stack([sp.TWO_PI * 1j * g[..., M:] for g in sp._mode_grids(d, M)])
         if zeta == "keller_segel":
             self.inv_lap = np.divide(1.0, self.lap, out=np.zeros_like(self.lap),
-                                     where=self.ksq > 0.0)[self._upper].astype(np.complex128)
-        self._half = np.empty(self.grad.shape[1:], np.complex128)
-        # zeta - u of Fisher, the drift sum, the grid product temporary
+                                     where=self.ksq > 0.0).astype(np.complex128)
+        # zeta - u of Fisher or c of Keller-Segel, the drift sum, the grid product temporary
         self._blk, self._drift = np.empty((2,) + self.ksq.shape, np.complex128)
         self._tmp = np.empty((self.R,) * d)
         self._layouts = [None] * 4  # by 2 * with_zeta + noise_on, built on first use
@@ -406,14 +412,13 @@ class GridPass(sp.GridTransform):
         hi = lo + self.d * (ks or noise_on)
         to, back = self.plan(hi + self.d * ks), self.plan(lo + noise_on, from_grid=True)
         lay = self._layouts[2 * with_zeta + noise_on] = SimpleNamespace(
-            to=to, back=back, ks=ks, lo=lo, u=to.input[0] if with_zeta else self._half,
-            g=tuple(to.output),
+            to=to, back=back, ks=ks, lo=lo, g=tuple(to.output),
             grad_u=list(zip(self.grad, to.input[lo:hi])), p=tuple(back.input),
             grad_c=list(zip(self.grad, to.input[hi:])), h=tuple(back.output))
         return lay
 
     def zeta_block(self, block: np.ndarray, with_zeta: bool, dw=None):
-        """The grid pass: (Pi_M zeta(u) if with_zeta, transport block if dw is given).
+        """The grid pass on half blocks: (Pi_M zeta(u) if with_zeta, transport if dw is given).
 
         The transport is taken in gradient form V.grad u, so a constant u
         gives exactly 0; its mean mode, zero analytically (q.m = 0), is set
@@ -423,11 +428,12 @@ class GridPass(sp.GridTransform):
         noise_on = dw is not None
         lay = self._layouts[2 * with_zeta + noise_on] or self._layout(with_zeta, noise_on)
         d, ks, lo, g, p, h, tmp = self.d, lay.ks, lay.lo, lay.g, lay.p, lay.h, self._tmp
-        lay.u[...] = block[self._upper]
+        if with_zeta:
+            lay.to.input[0] = block
         for grad, chan in lay.grad_u:
-            np.multiply(grad, lay.u, out=chan)
+            np.multiply(grad, block, out=chan)
         if ks:
-            c = np.multiply(lay.u, self.inv_lap, out=self._half)
+            c = np.multiply(block, self.inv_lap, out=self._blk)
             for grad, chan in lay.grad_c:
                 np.multiply(grad, c, out=chan)
         self._to_grid(lay.to)
@@ -463,7 +469,7 @@ def _noise_support(N: int, d: int):
 
 
 class _Engine(GridPass):
-    """Linear multipliers, norm weights and the grid pass of one config."""
+    """Linear multipliers, norm weights and the grid pass of one config, on the half block."""
 
     def __init__(self, cfg: SimConfig):
         noise = None
@@ -472,10 +478,11 @@ class _Engine(GridPass):
             noise = (theta, basis, noise_mod.amplitude_A(cfg.b, theta))
         super().__init__(cfg.d, cfg.M, cfg.zeta, noise)
         self.lin_mult = (-(self.lap**cfg.s) - cfg.b * self.lap).astype(np.complex128)
-        # (x*x) @ norm_w on the interleaved float view x of a block gives its
-        # squared L2, H^s and H^-gamma norms
+        # (x*x) @ norm_w on the interleaved float view x of a half block gives the
+        # squared L2, H^s and H^-gamma norms; a row with k_last > 0 counts its mirror too
         w = np.stack([np.ones_like(self.ksq), (1.0 + self.ksq) ** cfg.s,
                       (1.0 + self.ksq) ** (-cfg.gamma)], axis=-1)
+        w[..., 1:, :] *= 2.0
         self.norm_w = np.repeat(w.reshape(-1, 3), 2, axis=0)
 
     def drift_block(self, block: np.ndarray, lval: float, dw=None):
@@ -518,9 +525,9 @@ def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
     classical = cfg.beta == 1.0
     eng = _Engine(cfg)
     u0_field = build_initial_field(cfg, initial_rng(cfg.seed, run_index))
-    u0 = np.array(u0_field.coeffs)
-    if math.sqrt(float(np.sum(np.abs(u0) ** 2))) >= cfg.blowup_threshold:
+    if math.sqrt(float(np.sum(np.abs(u0_field.coeffs) ** 2))) >= cfg.blowup_threshold:
         raise InvalidParameterError("initial field norm must lie below blowup_threshold")
+    u0 = u0_field.coeffs[..., cfg.M:].copy()  # the half block k_last = 0..M
 
     dt = cfg.dt
     if not classical:
@@ -560,7 +567,7 @@ def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
         table[n_rec] = (t_n, l2_n, math.sqrt(hs_sq), hneg_n, x[at_mean], lval)
         n_rec += 1
         if stride > 0 and n % stride == 0:
-            snapshots.append((n, sp.SpectralField(cfg.d, cfg.M, u.copy())))
+            snapshots.append((n, sp.SpectralField(cfg.d, cfg.M, sp.hermitian_block(u))))
         if l2_n > cfg.blowup_threshold:
             blew_up = True
             blowup_time = t_n

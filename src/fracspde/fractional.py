@@ -370,19 +370,3 @@ def solve_caputo_scalar_ode(
         blew_up=blew_up,
         blowup_time=blowup_time,
     )
-
-
-def comparison_oracle(
-    traj_a: ScalarTrajectory, traj_b: ScalarTrajectory, tol: float = 1.0e-9
-) -> bool:
-    """True iff traj_a dominates traj_b pointwise on the shared grid.
-
-    Used as a test oracle for pairs of scalar solves with ordered right-hand
-    sides (the fractional comparison principle).  Both trajectories must have
-    been produced on the same grid.
-    """
-    if traj_a.times.shape != traj_b.times.shape or not np.array_equal(
-        traj_a.times, traj_b.times
-    ):
-        raise ShapeError("trajectories were not recorded on the same time grid")
-    return bool(np.all(traj_a.values >= traj_b.values - tol))

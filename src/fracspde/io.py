@@ -48,9 +48,11 @@ def parse_config_dict(raw: dict) -> SimConfig:
     kwargs = {}
     for key, value in raw.items():
         caster = _CONFIG_KEYS[key]
+        if caster is int and isinstance(value, float) and not value.is_integer():
+            raise InvalidParameterError(f"config key {key!r} must be an integer, got {value}")
         try:
             kwargs[key] = caster(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidParameterError(f"config key {key!r}: {exc}") from exc
     return SimConfig(**kwargs)
 

@@ -3,8 +3,7 @@
 Divergence-free Fourier vector fields q_{m,j} e^{2 pi i m.x} with q.m = 0,
 symmetric theta amplitude sequences, complex Brownian increments with
 conjugate pairing, the isotropy identity that turns the Ito corrector into
-b*Laplace, the transport term A * sum theta_m (sigma_{m,j} . grad u) dW^{m,j}
-and its spectral shift rule.
+b*Laplace, and the transport term A * sum theta_m (sigma_{m,j} . grad u) dW^{m,j}.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvalidParameterError, ShapeError
-from .spectral import TWO_PI, SpectralField, hermitianize
+from .spectral import SpectralField, hermitian_block
 
 
 def canonical_pair_rep(m: Iterable[int]) -> tuple:
@@ -266,55 +265,5 @@ def transport_term(
     if theta.d != u.d:
         raise ShapeError(f"theta dimension {theta.d} does not match d = {u.d}")
     kernel = GridPass(u.d, u.M, noise=(theta, basis, A))
-    return SpectralField(u.d, u.M, kernel.zeta_block(u.coeffs, False, inc.values)[1])
-
-
-def shift_gradient_apply(
-    u: SpectralField, m: Iterable[int], q: np.ndarray, M_out: int
-) -> SpectralField:
-    """Single vector-field action sigma_{m,q} . grad u at output cutoff M_out.
-
-    Output coefficient at l is 2 pi i (q . (l - m)) u_{l-m}; used by the
-    corrector contraction and as the brute-force oracle of transport_term.
-    """
-    d, M_in = u.d, u.M
-    m = np.asarray(m, dtype=np.int64)
-    q = np.asarray(q, dtype=np.float64)
-    out = np.zeros((2 * M_out + 1,) * d, dtype=np.complex128)
-    lo = np.maximum(-M_out, m - M_in)
-    hi = np.minimum(M_out, m + M_in)
-    if np.any(lo > hi):
-        return SpectralField(d, M_out, out)
-    out_sl = tuple(slice(lo[ax] + M_out, hi[ax] + M_out + 1) for ax in range(d))
-    in_sl = tuple(slice(lo[ax] - m[ax] + M_in, hi[ax] - m[ax] + M_in + 1) for ax in range(d))
-    kgrids = np.meshgrid(
-        *[np.arange(lo[ax] - m[ax], hi[ax] - m[ax] + 1) for ax in range(d)],
-        indexing="ij",
-    )
-    qdotk = sum(q[ax] * kgrids[ax] for ax in range(d))
-    out[out_sl] = TWO_PI * 1j * qdotk * u.coeffs[in_sl]
-    return SpectralField(d, M_out, out)
-
-
-def ito_corrector_apply(
-    u: SpectralField, theta: ThetaSequence, basis: NoiseBasis, A: float
-) -> SpectralField:
-    """Double-shift contraction A^2 sum theta_m^2 sigma_{m,j}.grad(sigma_{-m,j}.grad u).
-
-    This is the Stratonovich-to-Ito corrector of the transport noise; with
-    the matched amplitude it equals b*Laplace(u) on every retained mode.  The
-    intermediate field keeps the enlarged cutoff M + pad so no energy is lost
-    before the final truncation.
-    """
-    pad = int(np.max(np.abs(theta.half_modes)))
-    out = np.zeros_like(u.coeffs)
-    for i in range(theta.n_half):
-        th2 = theta.half_values[i] ** 2
-        for sign in (1, -1):
-            m = sign * theta.half_modes[i]
-            for j in range(theta.d - 1):
-                q = basis.q[i, j]
-                inner = shift_gradient_apply(u, -m, q, u.M + pad)
-                outer = shift_gradient_apply(inner, m, q, u.M)
-                out += th2 * outer.coeffs
-    return SpectralField(u.d, u.M, A**2 * hermitianize(out))
+    half = kernel.zeta_block(u.coeffs[..., u.M:], False, inc.values)[1]
+    return SpectralField(u.d, u.M, hermitian_block(half))

@@ -129,12 +129,15 @@ class GridField:
         object.__setattr__(self, "values", arr)
 
 
-def hermitianize(coeffs: np.ndarray) -> np.ndarray:
-    """Project a coefficient block onto exact Hermitian symmetry."""
-    rev = tuple(slice(None, None, -1) for _ in range(coeffs.ndim))
-    out = 0.5 * (coeffs + np.conj(coeffs[rev]))
-    center = tuple(s // 2 for s in coeffs.shape)
-    out[center] = out[center].real
+def hermitian_block(half: np.ndarray) -> np.ndarray:
+    """The full block (n, ..., n) of a half block (n, ..., n, M+1) of k_last = 0..M.
+
+    Mirrors the k_last > 0 rows and averages the k_last = 0 plane as
+    (x_k + conj(x_{-k})) / 2: exactly Hermitian, with an exactly real mean.
+    """
+    M, rev = half.shape[-1] - 1, (slice(None, None, -1),) * (half.ndim - 1)
+    out = np.concatenate([np.conj(half[rev + (slice(M, 0, -1),)]), half], axis=-1)
+    out[..., M] = (half[..., 0] + np.conj(half[rev + (0,)])) / 2
     return out
 
 
@@ -268,31 +271,29 @@ TransformPlan = namedtuple("TransformPlan", "input ops output")
 
 
 class GridTransform:
-    """Pruned matrix DFTs between blocks on ||k||_inf <= M and R^d point values.
+    """Pruned matrix DFTs between half blocks on ||k||_inf <= M and R^d point values.
 
     One matmul per axis: only the 2M+1 retained frequencies go in and come
     out, and on blocks this small that beats an FFT call.  Any R >= 2M+1
     works; it is not rounded to a power of two.  The grid values are real, so
-    the block is Hermitian and its k_last < 0 half is the conjugate mirror of
-    the rest; both directions carry only the half block (n, ..., n, M+1) of
-    k_last = 0..M, as the r2c/c2r transforms of FFTW do.  The inverse takes a
-    half block (the k_last < 0 half of a Hermitian block is never read) and
-    ends with a real matmul on its interleaved float view, the rows of
-    k_last > 0 counted twice: its output is Re sum.  The forward keeps the
-    k_last >= 0 columns of its first, real, matmul, runs the other axes on
-    the half, and rebuilds the full block by one gather from the half and its
-    conjugate, (x_k + conj(x_{-k})) / 2 entry by entry: exactly Hermitian,
-    with an exactly real mean mode.  Each direction and channel count has one
-    plan, built on first use and shared by every caller with that count, so a
-    returned array is valid only until the next run of the same plan.
+    the coefficient block is Hermitian and its k_last < 0 half is the
+    conjugate mirror of the rest: both directions carry only the half block
+    (n, ..., n, M+1) of k_last = 0..M, as the r2c/c2r transforms of FFTW do.
+    The inverse ends with a real matmul on the interleaved float view of the
+    half, the rows of k_last > 0 counted twice: its output is Re sum, so the
+    grid sees only the Hermitian part of the k_last = 0 plane.  The forward
+    keeps the k_last >= 0 columns of its first, real, matmul and runs the
+    other axes on the half; its last matmul writes the half block.  Each
+    direction and channel count has one plan, built on first use and shared
+    by every caller with that count, so a returned array is valid only until
+    the next run of the same plan.
     """
 
     def __init__(self, d: int, M: int, R: int):
         self.d, self.M, self.R = d, M, R
         self._E, E_re = _dft_pair(M, R)
-        # forward: F = conj(E).T / R, and grids @ F_re viewed as complex is grids @ F.T;
-        # the first matmul also takes the 1/2 of the projection (exact, a power of 2)
-        self._F, self._F_half = self._E.conj().T / R, np.ascontiguousarray(E_re[2 * M:].T / (2 * R))
+        # forward: F = conj(E).T / R, and grids @ F_re viewed as complex is grids @ F.T
+        self._F, self._F_half = self._E.conj().T / R, np.ascontiguousarray(E_re[2 * M:].T / R)
         # the k_last < 0 half adds the conjugate of the k_last > 0 rows: their Re twice
         self._E_half = E_re[2 * M:] * np.repeat([1.0] + [2.0] * M, 2)[:, None]
         self._plans = {}
@@ -318,37 +319,20 @@ class GridTransform:
     def _from_plan(self, C: int) -> TransformPlan:
         n, R, d = 2 * self.M + 1, self.R, self.d
         grids, x = np.zeros((C,) + (R,) * d), np.empty((C * R ** (d - 1), 2 * (self.M + 1)))
+        out = np.empty((C,) + (n,) * (d - 1) + (self.M + 1,), np.complex128)
         ops = [(np.matmul, (grids.reshape(-1, R), self._F_half, x))]
         x = x.view(np.complex128)
-        # [x/2, conj(x/2)]: the half blocks (C, n, ..., n, M+1) and their conjugates
-        both = np.empty((2, C) + (n,) * (d - 1) + (self.M + 1,), np.complex128)
         for ax in range(d - 1):  # inner axes last, as in _to_plan
             a = x.reshape(C * n**ax, R, -1)
             x = (np.empty((len(a), n, a.shape[2]), np.complex128) if ax < d - 2
-                 else both[0].reshape(len(a), n, -1))
+                 else out.reshape(len(a), n, -1))
             ops.append((np.matmul, (self._F, a, x)))
-        # out_k is the sum of two terms of `both`: x_k/2 and conj(x_{-k})/2 on
-        # k_last = 0, x_k/2 twice on k_last > 0, conj(x_{-k})/2 twice on k_last < 0.
-        # Their flat positions in `both` for channel 0 (a conjugate at -k: the half
-        # reversed on every axis), then for every channel; at k = 0 the imaginary
-        # part of the sum is a - a, exactly +0.0
-        at = np.arange(both[0, 0].size).reshape(both.shape[2:])
-        mirror = at[(slice(None, None, -1),) * d] + C * at.size
-        first = np.concatenate([mirror[..., :self.M], at], axis=-1)
-        second = np.concatenate([mirror, at[..., 1:]], axis=-1)
-        take = np.stack([first, second]).reshape(2, 1, -1) + at.size * np.arange(C)[:, None]
-        terms = np.empty(take.shape, np.complex128)
-        out = np.empty((C,) + (n,) * d, np.complex128)
-        ops += [(np.conjugate, (both[0], both[1])),
-                (both.reshape(-1).take, (take, None, terms, "clip")),
-                (np.add, (terms[0], terms[1], out.reshape(C, -1)))]
         return TransformPlan(grids, tuple(ops), out)
 
     def _to_grid(self, plan: TransformPlan) -> np.ndarray:
         """Run a plan: the real point values (C, R, ..., R) of the half blocks
         (C, n, ..., n, M+1) in plan.input, or for a from-grid plan (_from_grid)
-        the Hermitian-exact coefficients (C, n, ..., n) on ||k||_inf <= M of the
-        real grids in plan.input."""
+        the half blocks (C, n, ..., n, M+1) of the real grids in plan.input."""
         for op, args in plan.ops:
             op(*args)
         return plan.output
@@ -373,14 +357,15 @@ def to_grid(f: SpectralField, dealias: bool = True, resolution: int | None = Non
 
 
 def from_grid(g: GridField, M: int) -> SpectralField:
-    """Truncated forward transform; exact Hermitian symmetry is enforced."""
+    """Truncated forward transform; the block is exactly Hermitian (hermitian_block)."""
     if g.resolution < 2 * M + 1:
         raise InvalidParameterError(
             f"grid resolution {g.resolution} cannot represent modes up to M = {M}"
         )
     transform = GridTransform(g.d, M, g.resolution)
     transform.plan(1, from_grid=True).input[0] = g.values
-    return SpectralField(g.d, M, transform._from_grid(transform.plan(1, from_grid=True))[0])
+    half = transform._from_grid(transform.plan(1, from_grid=True))[0]
+    return SpectralField(g.d, M, hermitian_block(half))
 
 
 def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -447,17 +432,3 @@ def field_from_bytes(data: bytes) -> SpectralField:
         raise ShapeError(f"expected {2 * n} floats for d={d}, M={M}, got {body.size}")
     coeffs = (body[0::2] + 1j * body[1::2]).reshape((2 * M + 1,) * d)
     return SpectralField(int(d), int(M), coeffs)
-
-
-def field_to_csv(f: SpectralField) -> str:
-    """Inspection CSV: one row per wavevector, k components then re and im."""
-    cols = [f"k{i + 1}" for i in range(f.d)]
-    lines = [",".join(cols) + ",re,im"]
-    for idx in np.ndindex(*f.coeffs.shape):
-        k = tuple(i - f.M for i in idx)
-        c = f.coeffs[idx]
-        lines.append(
-            ",".join(str(x) for x in k)
-            + f",{format(c.real, '.17g')},{format(c.imag, '.17g')}"
-        )
-    return "\n".join(lines) + "\n"

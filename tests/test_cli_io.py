@@ -65,6 +65,27 @@ class TestParseConfig:
         b = io_mod.parse_config(p2)
         assert a.config_hash() == b.config_hash()
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("b", math.nan, "b must be finite"),
+        ("S", math.nan, "S must be finite"),
+        ("gamma", math.nan, "gamma must be finite"),
+        ("s", math.inf, "s must be finite"),
+        ("blowup_threshold", math.nan, "blowup_threshold must be finite"),
+        ("init", {"mean": 1.2, "delta0": math.nan}, "init must hold finite numbers"),
+        ("dt", math.nan, "dt must be finite"),
+        ("t_end", math.inf, "t_end must be finite"),
+        ("M", 4.7, "'M' must be an integer"),
+        ("snapshot_stride", 0.5, "'snapshot_stride' must be an integer"),
+        ("s", 10**400, "'s': int too large"),
+    ], ids=["b", "S", "gamma", "s", "blowup_threshold", "init-delta0", "dt", "t_end", "M",
+            "snapshot_stride", "s-beyond-float"])
+    def test_unrunnable_value_refused(self, tmp_path, key, value, named):
+        # the file holds NaN or Infinity, which json reads; neither can run, nor
+        # can a fraction for an int key or an integer beyond the float range
+        path = write_config(tmp_path, {key: value})
+        with pytest.raises(InvalidParameterError, match=named):
+            io_mod.parse_config(path)
+
     def test_hash_pinned(self):
         # run directories are keyed by this hash, so it must not drift
         raw = {
@@ -240,6 +261,13 @@ class TestCli:
         rc = cli.main(["simulate", "--config", str(cfg_path)])
         assert rc == 2
         assert "1/2" in capsys.readouterr().err
+
+    def test_non_finite_config_exit_code(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, {"t_end": math.inf})
+        rc = cli.main(["--out", str(tmp_path / "o"), "simulate", "--config", str(cfg_path)])
+        assert rc == 2
+        assert "t_end must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_snapshot_footprint_exit_code(self, tmp_path, capsys, monkeypatch):
         # 11 snapshots of 5^2 x 16 B = 4400 B against one 4096 B page of memory

