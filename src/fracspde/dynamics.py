@@ -9,7 +9,11 @@ the explicit Volterra-Euler recursion
     u_n = u_0 + sum_{k<n} w[n][k] * (drift(u_k) + transport(u_k, dW_k) / dt)
 
 with the rl_kernel_weights rows, one Brownian path per trajectory (the
-increments of step k are reused by every later n).  The history sum is kept
+increments of step k are reused by every later n).  The transport velocity
+V_k depends on the increments of step k alone, not on u, so integrate draws
+the increments of the next K steps (each step from its own keyed stream)
+and turns them into point values of V in one pass; each step's grid pass
+then reads its own V from that block.  The history sum is kept
 by fractional.VolterraHistory: exact weights for the newest lags, a
 sum-of-exponentials fold of the tail, so a step costs O((window + K) P) and
 the memory does not grow with the step count.  At beta = 1 the weights are
@@ -40,6 +44,10 @@ ZETA_KINDS = ("fisher", "keller_segel", "none")
 #: hard cap on t_end/dt; the per-step records and the fractional memory's
 #: tail check grow with it.
 MAX_STEPS = 100_000
+
+#: bytes of V's point values that one velocity pass of integrate fills: a block
+#: of K = B // (8 d R^d) steps (24 at d=2, M=4; 6 at d=2, M=8; 1 at d=3, M=8)
+VELOCITY_BLOCK_BYTES = 1 << 16
 
 DEFAULT_GAMMA = 0.1
 DEFAULT_BLOWUP_THRESHOLD = 1.0e6
@@ -194,6 +202,15 @@ class SimConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _numbers(spec) -> list:
+    """Every number in a nest of dicts and lists."""
+    if isinstance(spec, dict):
+        spec = list(spec.values())
+    if isinstance(spec, list):
+        return [x for item in spec for x in _numbers(item)]
+    return [spec] if isinstance(spec, (int, float)) else []
+
+
 def _validate_init_spec(init: dict):
     if not isinstance(init, dict):
         raise InvalidParameterError("init must be a mapping")
@@ -201,6 +218,11 @@ def _validate_init_spec(init: dict):
         json.dumps(init, allow_nan=False)
     except ValueError as exc:  # NaN or +-inf somewhere in init
         raise InvalidParameterError(f"init must hold finite numbers only, got {init}") from exc
+    for x in _numbers(init):
+        try:
+            float(x)
+        except OverflowError as exc:  # an integer beyond the float range
+            raise InvalidParameterError(f"init must hold numbers that fit a float: {exc}") from exc
     keys = set(init)
     if "coeffs" in keys:
         allowed = {"coeffs"}
@@ -344,7 +366,10 @@ class GridPass(sp.GridTransform):
     input u, the multipliers, the channels and the outputs, whose
     k_last = 0 plane is not symmetrized (the inverse transform reads only
     its Hermitian part).  V's half is written from the modes with
-    m_last >= 0.  Products with a block go one component at a time and with
+    m_last >= 0.  V does not depend on u, so velocity() builds it for a
+    block of K steps in one pass, on K*d channels, and a grid pass takes one
+    step's V from it (vel=); the increments of one step (dw=) are the block
+    of K = 1.  Products with a block go one component at a time and with
     complex multipliers: numpy takes buffers for a broadcast or a cast.
     """
 
@@ -367,44 +392,70 @@ class GridPass(sp.GridTransform):
         self.theta = None
         if noise is not None:
             self.theta, basis, A = noise
-            half = self.theta.half_modes
-            # V_m = sum_j q[j, :, m] dW^{m,j} by rows (q[j, a], V_m[a], temporary)
-            # and V_{-m} = conj(V_m)
-            q = np.ascontiguousarray((A * self.theta.half_values) * basis.q.transpose(1, 2, 0))
-            pm = np.empty((2,) + q.shape[1:], dtype=np.complex128)
-            self._vel_pm, self._vel_rows = (pm[0], pm[1]), [list(zip(qj, *pm)) for qj in q]
-            # V's plan: its half input is zero off the support, rewritten in full per call
+            half, nh = self.theta.half_modes, self.theta.n_half
+            # V_m[a] = sum_j q[j, a, m] dW^{m,j}
+            self._vel_q = np.ascontiguousarray((A * self.theta.half_values)
+                                               * basis.q.transpose(1, 2, 0))
             self._vel = sp.GridTransform(d, N, self.R)
-            self._vel_plan = self._vel.plan(d)
-            # the modes m of V_m and -m of V_{-m} with a last component >= 0 (both of
-            # a pair with m_last = 0): flat positions in pm and in V's half input.
-            # Selected in Python: np.nonzero would fault in 64 kB more of numpy's
-            # code, in every process, for a few hundred modes
+            self._vel_blocks = {}  # by the number of steps K, built on first use
+            # the modes m of V_m and -m of V_{-m} = conj(V_m) with a last component >= 0
+            # (both of a pair with m_last = 0): flat positions in one step's (V_m, V_{-m})
+            # rows (2, d, n_half) and in its d channels of V's half input, which is zero
+            # off the support.  Selected in Python: np.nonzero would fault in 64 kB more
+            # of numpy's code, in every process, for a few hundred modes
             pos, neg = (np.array([i for i, m in enumerate(half.tolist()) if sign * m[-1] >= 0],
                                  np.int64) for sign in (1, -1))
             comp = np.arange(d)[:, None]
-            self._vel_src = np.concatenate([comp * len(half) + pos,
-                                            pm[0].size + comp * len(half) + neg], axis=1).ravel()
+            self._vel_src = np.concatenate([comp * nh + pos, (d + comp) * nh + neg],
+                                           axis=1).ravel()
             at = np.concatenate([half[pos], -half[neg]]) + N
             at[:, -1] -= N
-            self._vel_at = np.ravel_multi_index(np.broadcast_arrays(comp, *at.T),
-                                                self._vel_plan.input.shape).ravel()
-            self._vel_kept = np.empty(len(self._vel_src), np.complex128)
-            self._vel_flat, self._vel_pm_flat = self._vel_plan.input.reshape(-1), pm.reshape(-1)
-            self._vel_g = tuple(self._vel_plan.output)
+            shape = (d,) + (2 * N + 1,) * (d - 1) + (N + 1,)
+            self._vel_at = np.ravel_multi_index(np.broadcast_arrays(comp, *at.T), shape).ravel()
 
-    def _velocity(self, dw: np.ndarray) -> tuple:
-        """Point values (V_1, ..., V_d) of V for the increments dw (n_half, d-1)."""
-        for j, rows in enumerate(self._vel_rows):
-            for q, v, tmp in rows:
-                np.multiply(q, dw[:, j], out=tmp if j else v)
+    def _vel_block(self, K: int) -> SimpleNamespace:
+        """Work arrays, index tables and the K*d-channel plan of velocity() for K steps.
+
+        (V_m, V_{-m}) of step k sit at k*n_half in the rows of pm
+        (2, d, K*n_half), and q is tiled K times and stored complex, so that
+        each product is one call on contiguous rows of one dtype: numpy takes
+        buffers for a broadcast, a strided block or a cast.  K = 1 keeps the
+        one-step tables and the real q, whose cast buffers are that small.
+        """
+        d, nh, plan = self.d, self.theta.n_half, self._vel.plan(K * self.d)
+        q, src, at = self._vel_q, self._vel_src, self._vel_at
+        if K > 1:
+            k = np.arange(K)[:, None]
+            q = np.tile(q, K).astype(np.complex128)
+            src = ((src // nh * K + k) * nh + src % nh).ravel()
+            at = (k * plan.input[:d].size + at).ravel()
+        pm = np.empty((2, d, K * nh), np.complex128)
+        blk = self._vel_blocks[K] = SimpleNamespace(
+            rows=[list(zip(qj, *pm)) for qj in q], pm=tuple(pm), pm_flat=pm.reshape(-1),
+            src=src, at=at, kept=np.empty(len(src), np.complex128), flat=plan.input.reshape(-1),
+            plan=plan, vel=[tuple(plan.output[k * d:(k + 1) * d]) for k in range(K)])
+        return blk
+
+    def velocity(self, dw: np.ndarray) -> list:
+        """Point values of V for the increments dw (K, n_half, d-1) of K steps,
+        or (n_half, d-1) of one.
+
+        One pass for the block: entry k of the returned list is step k's
+        (V_1, ..., V_d), views of work arrays that the next call with K steps
+        overwrites.
+        """
+        K = len(dw) if dw.ndim == 3 else 1
+        blk = self._vel_blocks.get(K) or self._vel_block(K)
+        for j, rows in enumerate(blk.rows):
+            for q, v, tmp in rows:  # no view of dw outlives this: it would add to every peak
+                np.multiply(q, dw.reshape(-1, self.d - 1)[:, j], out=tmp if j else v)
                 if j:
                     v += tmp
-        np.conjugate(*self._vel_pm)
-        self._vel_pm_flat.take(self._vel_src, 0, self._vel_kept, "clip")
-        self._vel_flat[self._vel_at] = self._vel_kept
-        self._vel._to_grid(self._vel_plan)
-        return self._vel_g
+        np.conjugate(*blk.pm)
+        blk.pm_flat.take(blk.src, 0, blk.kept, "clip")
+        blk.flat[blk.at] = blk.kept
+        self._vel._to_grid(blk.plan)
+        return blk.vel
 
     def _layout(self, with_zeta: bool, noise_on: bool) -> SimpleNamespace:
         """Plans and views of channels [u if with_zeta] [grad u from lo] [grad c from hi]."""
@@ -417,15 +468,18 @@ class GridPass(sp.GridTransform):
             grad_c=list(zip(self.grad, to.input[hi:])), h=tuple(back.output))
         return lay
 
-    def zeta_block(self, block: np.ndarray, with_zeta: bool, dw=None):
-        """The grid pass on half blocks: (Pi_M zeta(u) if with_zeta, transport if dw is given).
+    def zeta_block(self, block: np.ndarray, with_zeta: bool, dw=None, vel=None):
+        """The grid pass on half blocks: (Pi_M zeta(u) if with_zeta, transport if noisy).
 
-        The transport is taken in gradient form V.grad u, so a constant u
-        gives exactly 0; its mean mode, zero analytically (q.m = 0), is set
-        to exactly 0.  Outputs are views of work arrays that the next call
-        overwrites.
+        The transport needs this step's V: its point values vel, an entry of
+        velocity(), or its increments dw (n_half, d-1), the one-step block.
+        It is taken in gradient form V.grad u, so a constant u gives exactly
+        0; its mean mode, zero analytically (q.m = 0), is set to exactly 0.
+        Outputs are views of work arrays that the next call overwrites.
         """
-        noise_on = dw is not None
+        if dw is not None:
+            vel = self.velocity(dw)[0]
+        noise_on = vel is not None
         lay = self._layouts[2 * with_zeta + noise_on] or self._layout(with_zeta, noise_on)
         d, ks, lo, g, p, h, tmp = self.d, lay.ks, lay.lo, lay.g, lay.p, lay.h, self._tmp
         if with_zeta:
@@ -446,7 +500,6 @@ class GridPass(sp.GridTransform):
         elif with_zeta:
             np.multiply(g[0], g[0], out=p[0])
         if noise_on:
-            vel = self._velocity(dw)
             np.multiply(vel[0], g[lo], out=p[-1])
             for a in range(1, d):
                 np.add(p[-1], np.multiply(vel[a], g[lo + a], out=tmp), out=p[-1])
@@ -485,18 +538,20 @@ class _Engine(GridPass):
         w[..., 1:, :] *= 2.0
         self.norm_w = np.repeat(w.reshape(-1, 3), 2, axis=0)
 
-    def drift_block(self, block: np.ndarray, lval: float, dw=None):
-        """(drift block, transport block or None) for this step's increments dw.
+    def drift_block(self, block: np.ndarray, lval: float, dw=None, vel=None):
+        """(drift block, transport block or None) for this step's increments dw
+        or velocity vel (see zeta_block).
 
         Both are views of work arrays that the next call overwrites.
         """
         out = np.multiply(self.lin_mult, block, out=self._drift)
         with_zeta = self.zeta != "none" and lval != 0.0
-        if not with_zeta and dw is None:
+        if not with_zeta and dw is None and vel is None:
             return out, None
-        zeta, transport = self.zeta_block(block, with_zeta, dw)
+        zeta, transport = self.zeta_block(block, with_zeta, dw, vel)
         if with_zeta:
-            zeta *= lval
+            if lval != 1.0:  # the cut-off is inactive on most steps
+                zeta *= lval
             out += zeta
         return out, transport
 
@@ -550,6 +605,9 @@ def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
         step_key = philox["state"]["key"]
         bg = np.random.Philox(key=0)
         gen = np.random.Generator(bg)
+        # V of the next K steps at once: K rows of point values fit VELOCITY_BLOCK_BYTES
+        k_max = max(1, VELOCITY_BLOCK_BYTES // (8 * cfg.d * eng.R**cfg.d))
+        vels, i = [], 0
     blew_up = False
     blowup_time = None
     n_rec = 0
@@ -575,12 +633,18 @@ def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
         if n == steps:
             break
 
-        dw = None
+        vel = None
         if noise_on:
-            step_key[1] = n
-            bg.state = philox
-            dw = noise_mod.sample_increments(eng.theta, dt, gen).values
-        g, t_blk = eng.drift_block(u, lval, dw)
+            if i == len(vels):
+                dw = np.empty((min(k_max, steps - n), eng.theta.n_half, cfg.d - 1), np.complex128)
+                for k in range(len(dw)):
+                    step_key[1] = n + k
+                    bg.state = philox
+                    dw[k] = noise_mod.sample_increments(eng.theta, dt, gen).values
+                vels, i = eng.velocity(dw), 0
+            vel = vels[i]
+            i += 1
+        g, t_blk = eng.drift_block(u, lval, vel=vel)
         if classical:
             u += np.multiply(dt, g, out=g)
             if noise_on:

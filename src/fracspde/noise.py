@@ -240,8 +240,9 @@ def sample_increments(
     if dt <= 0.0:
         raise InvalidParameterError(f"dt must be positive, got {dt}")
     draws = rng.standard_normal((theta.n_half, theta.d - 1, 2))
-    vals = np.sqrt(dt) * draws.view(np.complex128)[..., 0]
-    return NoiseIncrements(dt=float(dt), half_modes=theta.half_modes, values=vals)
+    draws *= np.sqrt(dt)
+    return NoiseIncrements(dt=float(dt), half_modes=theta.half_modes,
+                           values=draws.view(np.complex128)[..., 0])
 
 
 def transport_term(

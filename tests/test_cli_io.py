@@ -77,8 +77,13 @@ class TestParseConfig:
         ("M", 4.7, "'M' must be an integer"),
         ("snapshot_stride", 0.5, "'snapshot_stride' must be an integer"),
         ("s", 10**400, "'s': int too large"),
+        ("init", {"mean": 10**400, "delta0": 0.1}, "init must hold numbers that fit a float"),
+        ("init", {"coeffs": [{"k": [1, 0], "re": 10**400}]},
+         "init must hold numbers that fit a float"),
+        ("init", {"amplitude": 0.5, "decay": 10**400}, "init must hold numbers that fit a float"),
     ], ids=["b", "S", "gamma", "s", "blowup_threshold", "init-delta0", "dt", "t_end", "M",
-            "snapshot_stride", "s-beyond-float"])
+            "snapshot_stride", "s-beyond-float", "init-mean-beyond-float",
+            "init-coeff-beyond-float", "init-decay-beyond-float"])
     def test_unrunnable_value_refused(self, tmp_path, key, value, named):
         # the file holds NaN or Infinity, which json reads; neither can run, nor
         # can a fraction for an int key or an integer beyond the float range
@@ -267,6 +272,13 @@ class TestCli:
         rc = cli.main(["--out", str(tmp_path / "o"), "simulate", "--config", str(cfg_path)])
         assert rc == 2
         assert "t_end must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_init_beyond_float_exit_code(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, {"init": {"mean": 10**400, "delta0": 0.1}})
+        rc = cli.main(["--out", str(tmp_path / "o"), "simulate", "--config", str(cfg_path)])
+        assert rc == 2
+        assert "fit a float" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_snapshot_footprint_exit_code(self, tmp_path, capsys, monkeypatch):

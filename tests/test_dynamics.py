@@ -202,6 +202,76 @@ class TestGridPass:
             assert np.array_equal(f.coeffs, c)
 
 
+class TestVelocityBlock:
+    """V of K steps from one velocity pass, as integrate builds it."""
+
+    @pytest.mark.parametrize("d,M,N,K", [(2, 4, 4, 24), (3, 3, 2, 5)])
+    def test_block_matches_one_step_calls(self, d, M, N, K):
+        eng = dyn._Engine(make_cfg(d=d, M=M, b=1.0, noise_N=N))
+        rng = np.random.default_rng(15)
+        dw = np.array([nm.sample_increments(eng.theta, 0.01, rng).values for _ in range(K)])
+        block = [np.array(v) for v in eng.velocity(dw)]
+        assert len(block) == K
+        for k in range(K):
+            assert np.array_equal(np.array(eng.velocity(dw[k])[0]), block[k]), f"step {k}"
+
+    @pytest.mark.parametrize("d,M,N,K", [(2, 4, 4, 24), (2, 8, 2, 6), (3, 8, 4, 1)])
+    def test_block_length_and_cut_last_block(self, d, M, N, K, monkeypatch):
+        cfg = make_cfg(d=d, M=M, b=1.0, noise_N=N, dt=1e-4, t_end=(30 if d == 2 else 3) * 1e-4)
+        lengths = []
+        velocity = dyn._Engine.velocity
+        monkeypatch.setattr(dyn._Engine, "velocity",
+                            lambda eng, dw: lengths.append(len(dw)) or velocity(eng, dw))
+        dyn.integrate(cfg)
+        steps = cfg.n_steps
+        assert lengths == [K] * (steps // K) + ([steps % K] if steps % K else [])
+
+    @pytest.mark.parametrize("kw", [
+        # beta = 1, blows up in the middle of a block
+        dict(beta=1.0, b=2.0, noise_N=2, S=1e7, dt=1e-4, t_end=0.5,
+             init={"mean": 4.0, "delta0": 2.0}),
+        # beta = 0.9, the Volterra sum, snapshots
+        dict(beta=0.9, b=0.5, noise_N=2, S=10.0, dt=2.5e-5, t_end=110 * 2.5e-5,
+             init={"mean": 0.5, "delta0": 0.01}, snapshot_stride=13),
+    ], ids=["beta1-blowup", "beta0.9"])
+    def test_records_independent_of_block_length(self, kw, monkeypatch):
+        cfg = make_cfg(zeta="fisher", seed=4, **kw)
+        rec = dyn.integrate(cfg, run_index=2)
+        monkeypatch.setattr(dyn, "VELOCITY_BLOCK_BYTES", 1)  # K = 1
+        one = dyn.integrate(cfg, run_index=2)
+        if cfg.beta == 1.0:
+            assert rec.blew_up and (len(rec.times) - 1) % 24 != 0
+        for name in ("times", "l2", "hs", "hneg_gamma", "mean", "cutoff"):
+            assert np.array_equal(getattr(rec, name), getattr(one, name)), name
+        assert (rec.blew_up, rec.blowup_time) == (one.blew_up, one.blowup_time)
+        assert [n for n, _ in rec.snapshots] == [n for n, _ in one.snapshots]
+        for (_, f), (_, g) in zip(rec.snapshots, one.snapshots):
+            assert np.array_equal(f.coeffs, g.coeffs)
+
+    @pytest.mark.parametrize("d,M,zeta", [(2, 4, "fisher"), (3, 3, "keller_segel")])
+    def test_steady_block_calls_allocate_no_block(self, d, M, zeta):
+        # integrate's pattern after a warm-up at its K: one velocity pass, then
+        # K grid passes that read their V from it
+        cfg = make_cfg(d=d, M=M, b=1.0, noise_N=2, zeta=zeta)
+        eng = dyn._Engine(cfg)
+        K = max(1, dyn.VELOCITY_BLOCK_BYTES // (8 * d * eng.R**d))
+        rng = np.random.default_rng(16)
+        u = _half(sp.random_field(rng, d, M, 1.0, 1.0, mean=0.6))
+        dws = [np.array([nm.sample_increments(eng.theta, 0.01, rng).values for _ in range(K)])
+               for _ in range(4)]
+        for vel in eng.velocity(dws[0]):
+            eng.drift_block(u, 0.7, vel=vel)
+        tracemalloc.start()
+        try:
+            for dw in dws:
+                for vel in eng.velocity(dw):
+                    eng.drift_block(u, 0.7, vel=vel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < u.nbytes
+
+
 class TestDrift:
     def test_pure_multiplier_mode(self):
         cfg = make_cfg(b=2.0, s=1.5)
