@@ -206,7 +206,7 @@ def _numbers(spec) -> list:
     """Every number in a nest of dicts and lists."""
     if isinstance(spec, dict):
         spec = list(spec.values())
-    if isinstance(spec, list):
+    if isinstance(spec, (list, tuple)):
         return [x for item in spec for x in _numbers(item)]
     return [spec] if isinstance(spec, (int, float)) else []
 
@@ -214,15 +214,13 @@ def _numbers(spec) -> list:
 def _validate_init_spec(init: dict):
     if not isinstance(init, dict):
         raise InvalidParameterError("init must be a mapping")
-    try:
-        json.dumps(init, allow_nan=False)
-    except ValueError as exc:  # NaN or +-inf somewhere in init
-        raise InvalidParameterError(f"init must hold finite numbers only, got {init}") from exc
     for x in _numbers(init):
         try:
-            float(x)
+            finite = math.isfinite(float(x))
         except OverflowError as exc:  # an integer beyond the float range
             raise InvalidParameterError(f"init must hold numbers that fit a float: {exc}") from exc
+        if not finite:
+            raise InvalidParameterError(f"init must hold finite numbers only, got {init}")
     keys = set(init)
     if "coeffs" in keys:
         allowed = {"coeffs"}
@@ -369,8 +367,9 @@ class GridPass(sp.GridTransform):
     m_last >= 0.  V does not depend on u, so velocity() builds it for a
     block of K steps in one pass, on K*d channels, and a grid pass takes one
     step's V from it (vel=); the increments of one step (dw=) are the block
-    of K = 1.  Products with a block go one component at a time and with
-    complex multipliers: numpy takes buffers for a broadcast or a cast.
+    of K = 1, with the same arrays.  Products with a block go one component
+    at a time and with complex multipliers: numpy takes buffers for a
+    broadcast or a cast.
     """
 
     def __init__(self, d: int, M: int, zeta: str = "none", noise=None):
@@ -419,16 +418,14 @@ class GridPass(sp.GridTransform):
         (V_m, V_{-m}) of step k sit at k*n_half in the rows of pm
         (2, d, K*n_half), and q is tiled K times and stored complex, so that
         each product is one call on contiguous rows of one dtype: numpy takes
-        buffers for a broadcast, a strided block or a cast.  K = 1 keeps the
-        one-step tables and the real q, whose cast buffers are that small.
+        buffers for a broadcast, a strided block or a cast.  The one-step
+        tables are moved to each step's rows and channels.
         """
         d, nh, plan = self.d, self.theta.n_half, self._vel.plan(K * self.d)
-        q, src, at = self._vel_q, self._vel_src, self._vel_at
-        if K > 1:
-            k = np.arange(K)[:, None]
-            q = np.tile(q, K).astype(np.complex128)
-            src = ((src // nh * K + k) * nh + src % nh).ravel()
-            at = (k * plan.input[:d].size + at).ravel()
+        k = np.arange(K)[:, None]
+        q = np.tile(self._vel_q, K).astype(np.complex128)
+        src = ((self._vel_src // nh * K + k) * nh + self._vel_src % nh).ravel()
+        at = (k * plan.input[:d].size + self._vel_at).ravel()
         pm = np.empty((2, d, K * nh), np.complex128)
         blk = self._vel_blocks[K] = SimpleNamespace(
             rows=[list(zip(qj, *pm)) for qj in q], pm=tuple(pm), pm_flat=pm.reshape(-1),
