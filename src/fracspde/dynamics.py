@@ -1,10 +1,10 @@
 """The regularized Galerkin system and its fractional time stepper.
 
-State is the half block k_last = 0..M of the Hermitian coefficient block of
-u_M on ||k||_inf <= M (see spectral.GridTransform).  The drift is
--(-Laplace)^s u + b*Laplace u + L_S(||u||_{H^-gamma}) Pi_M zeta(u); the noise
-is the spectral transport term with matched amplitude A.  Time stepping is
-the explicit Volterra-Euler recursion
+State is the half block k_0 = 0..M, the half axis first, of the Hermitian
+coefficient block of u_M on ||k||_inf <= M (see spectral.GridTransform).
+The drift is -(-Laplace)^s u + b*Laplace u + L_S(||u||_{H^-gamma}) Pi_M
+zeta(u); the noise is the spectral transport term with matched amplitude A.
+Time stepping is the explicit Volterra-Euler recursion
 
     u_n = u_0 + sum_{k<n} w[n][k] * (drift(u_k) + transport(u_k, dW_k) / dt)
 
@@ -294,7 +294,7 @@ def cutoff_value(r: float, S: float) -> float:
 
 def zeta_fisher(u: sp.SpectralField) -> sp.SpectralField:
     """Fisher-KPP nonlinearity u^2 - u, dealiased and truncated to M (the grid pass)."""
-    half = GridPass(u.d, u.M, "fisher").zeta_block(u.coeffs[..., u.M:], True)[0]
+    half = GridPass(u.d, u.M, "fisher").zeta_block(u.coeffs[u.M:], True)[0]
     return sp.SpectralField(u.d, u.M, sp.hermitian_block(half))
 
 
@@ -303,7 +303,7 @@ def zeta_keller_segel(rho: sp.SpectralField) -> sp.SpectralField:
 
     Computed by the grid pass, whose output mean mode is exactly zero.
     """
-    half = GridPass(rho.d, rho.M, "keller_segel").zeta_block(rho.coeffs[..., rho.M:], True)[0]
+    half = GridPass(rho.d, rho.M, "keller_segel").zeta_block(rho.coeffs[rho.M:], True)[0]
     return sp.SpectralField(rho.d, rho.M, sp.hermitian_block(half))
 
 
@@ -315,7 +315,7 @@ def drift(u: sp.SpectralField, cfg: SimConfig) -> sp.SpectralField:
     if (u.d, u.M) != (cfg.d, cfg.M):
         raise ShapeError(f"field has (d, M) = {(u.d, u.M)} but the config has {(cfg.d, cfg.M)}")
     lval = cutoff_value(sp.sobolev_norm(u, -cfg.gamma), cfg.S)
-    half = _Engine(cfg).drift_block(u.coeffs[..., u.M:], lval)[0]
+    half = _Engine(cfg).drift_block(u.coeffs[u.M:], lval)[0]
     return sp.SpectralField(u.d, u.M, sp.hermitian_block(half))
 
 
@@ -354,22 +354,25 @@ class TrajectoryRecord:
 class GridPass(sp.GridTransform):
     """Pi_M zeta(u) and the transport term V.grad u from one grid pass.
 
-    The stacked channels (u and, as needed, grad u and grad c) and the noise
-    velocity V = A sum theta_m dW^{m,j} q_{m,j} e^{2 pi i m.x}, which lives on
-    ||m||_inf <= N, go to point values on R = max(3M+1, 2M+N+1) points per
-    axis, where neither product aliases onto ||k||_inf <= M (the 2/3 rule).
-    The products come back in one forward transform.  V has its own
-    GridTransform, so its work arrays never alias those of the channels.
-    Every block is a half block (k_last = 0..M, see GridTransform): the
-    input u, the multipliers, the channels and the outputs, whose
-    k_last = 0 plane is not symmetrized (the inverse transform reads only
-    its Hermitian part).  V's half is written from the modes with
-    m_last >= 0.  V does not depend on u, so velocity() builds it for a
-    block of K steps in one pass, on K*d channels, and a grid pass takes one
-    step's V from it (vel=); the increments of one step (dw=) are the block
-    of K = 1, with the same arrays.  Products with a block go one component
-    at a time and with complex multipliers: numpy takes buffers for a
-    broadcast or a cast.
+    One inverse transform takes u (and c of Keller-Segel) to the point values
+    of u, grad u (and grad c) on R = max(3M+1, 2M+N+1) points per axis,
+    where neither product aliases onto ||k||_inf <= M (the 2/3 rule): the
+    gradients come from the differentiated DFT matrices of a grad plan (see
+    GridTransform), so the value and the gradient share one transform.  The
+    noise velocity V = A sum theta_m dW^{m,j} q_{m,j} e^{2 pi i m.x}, which
+    lives on ||m||_inf <= N, has its own GridTransform, so its work arrays
+    never alias those of the channels.  The products come back in one
+    forward transform.  Every block is a half block (k_0 = 0..M first, see
+    GridTransform): the input u, the multipliers, the channels and the
+    outputs, whose k_0 = 0 plane is not symmetrized (the inverse transform
+    reads only its Hermitian part).  Every grid, V's included, is in the
+    rotated axis order (x_1, ..., x_{d-1}, x_0) of the plans.  V's half is
+    written from the modes with m_0 >= 0.  V does not depend on u, so
+    velocity() builds it for a block of K steps in one pass, on K*d
+    channels, and a grid pass takes one step's V from it (vel=); the
+    increments of one step (dw=) are the block of K = 1, with the same
+    arrays.  Multipliers of a block are stored complex: numpy takes buffers
+    for a cast.
     """
 
     def __init__(self, d: int, M: int, zeta: str = "none", noise=None):
@@ -377,14 +380,13 @@ class GridPass(sp.GridTransform):
         N = 0 if noise is None else int(np.max(np.abs(noise[0].half_modes)))
         super().__init__(d, M, max(3 * M + 1, 2 * M + N + 1))
         # the mean mode and the multipliers on the half block
-        self.zeta, self.center = zeta, (M,) * (d - 1) + (0,)
-        self.ksq = sp._ksq_grid(d, M)[..., M:]
+        self.zeta, self.center = zeta, (0,) + (M,) * (d - 1)
+        self.ksq = sp._ksq_grid(d, M)[M:]
         self.lap = 4.0 * np.pi**2 * self.ksq
-        self.grad = np.stack([sp.TWO_PI * 1j * g[..., M:] for g in sp._mode_grids(d, M)])
         if zeta == "keller_segel":
             self.inv_lap = np.divide(1.0, self.lap, out=np.zeros_like(self.lap),
                                      where=self.ksq > 0.0).astype(np.complex128)
-        # zeta - u of Fisher or c of Keller-Segel, the drift sum, the grid product temporary
+        # zeta - u of Fisher, the drift sum, the grid product temporary
         self._blk, self._drift = np.empty((2,) + self.ksq.shape, np.complex128)
         self._tmp = np.empty((self.R,) * d)
         self._layouts = [None] * 4  # by 2 * with_zeta + noise_on, built on first use
@@ -397,19 +399,19 @@ class GridPass(sp.GridTransform):
                                                * basis.q.transpose(1, 2, 0))
             self._vel = sp.GridTransform(d, N, self.R)
             self._vel_blocks = {}  # by the number of steps K, built on first use
-            # the modes m of V_m and -m of V_{-m} = conj(V_m) with a last component >= 0
-            # (both of a pair with m_last = 0): flat positions in one step's (V_m, V_{-m})
+            # the modes m of V_m and -m of V_{-m} = conj(V_m) with a first component >= 0
+            # (both of a pair with m_0 = 0): flat positions in one step's (V_m, V_{-m})
             # rows (2, d, n_half) and in its d channels of V's half input, which is zero
             # off the support.  Selected in Python: np.nonzero would fault in 64 kB more
             # of numpy's code, in every process, for a few hundred modes
-            pos, neg = (np.array([i for i, m in enumerate(half.tolist()) if sign * m[-1] >= 0],
+            pos, neg = (np.array([i for i, m in enumerate(half.tolist()) if sign * m[0] >= 0],
                                  np.int64) for sign in (1, -1))
             comp = np.arange(d)[:, None]
             self._vel_src = np.concatenate([comp * nh + pos, (d + comp) * nh + neg],
                                            axis=1).ravel()
             at = np.concatenate([half[pos], -half[neg]]) + N
-            at[:, -1] -= N
-            shape = (d,) + (2 * N + 1,) * (d - 1) + (N + 1,)
+            at[:, 0] -= N
+            shape = (d, N + 1) + (2 * N + 1,) * (d - 1)
             self._vel_at = np.ravel_multi_index(np.broadcast_arrays(comp, *at.T), shape).ravel()
 
     def _vel_block(self, K: int) -> SimpleNamespace:
@@ -455,14 +457,14 @@ class GridPass(sp.GridTransform):
         return blk.vel
 
     def _layout(self, with_zeta: bool, noise_on: bool) -> SimpleNamespace:
-        """Plans and views of channels [u if with_zeta] [grad u from lo] [grad c from hi]."""
-        ks, lo = with_zeta and self.zeta == "keller_segel", int(with_zeta)
-        hi = lo + self.d * (ks or noise_on)
-        to, back = self.plan(hi + self.d * ks), self.plan(lo + noise_on, from_grid=True)
+        """Plans and grid views of the pass: u [grad u] [c, grad c] on the grid."""
+        ks = with_zeta and self.zeta == "keller_segel"
+        grad = ks or noise_on
+        to, back = self.plan(1 + ks, grad=grad), self.plan(with_zeta + noise_on, from_grid=True)
+        g = tuple(to.output)
         lay = self._layouts[2 * with_zeta + noise_on] = SimpleNamespace(
-            to=to, back=back, ks=ks, lo=lo, g=tuple(to.output),
-            grad_u=list(zip(self.grad, to.input[lo:hi])), p=tuple(back.input),
-            grad_c=list(zip(self.grad, to.input[hi:])), h=tuple(back.output))
+            to=to, back=back, ks=ks, chan=tuple(to.input), u=g[0], grad_u=g[1:self.d + 1],
+            grad_c=g[self.d + 2:], p=tuple(back.input), h=tuple(back.output))
         return lay
 
     def zeta_block(self, block: np.ndarray, with_zeta: bool, dw=None, vel=None):
@@ -478,36 +480,31 @@ class GridPass(sp.GridTransform):
             vel = self.velocity(dw)[0]
         noise_on = vel is not None
         lay = self._layouts[2 * with_zeta + noise_on] or self._layout(with_zeta, noise_on)
-        d, ks, lo, g, p, h, tmp = self.d, lay.ks, lay.lo, lay.g, lay.p, lay.h, self._tmp
-        if with_zeta:
-            lay.to.input[0] = block
-        for grad, chan in lay.grad_u:
-            np.multiply(grad, block, out=chan)
-        if ks:
-            c = np.multiply(block, self.inv_lap, out=self._blk)
-            for grad, chan in lay.grad_c:
-                np.multiply(grad, c, out=chan)
+        u, grad_u, p, h, tmp = lay.u, lay.grad_u, lay.p, lay.h, self._tmp
+        np.copyto(lay.chan[0], block)
+        if lay.ks:
+            np.multiply(block, self.inv_lap, out=lay.chan[1])
         self._to_grid(lay.to)
-        if ks:
+        if lay.ks:
             # -div(rho grad c) = rho (rho - mean rho) - grad rho . grad c
-            np.subtract(g[0], block[self.center].real, out=tmp)
-            np.multiply(g[0], tmp, out=p[0])
-            for a in range(1, d + 1):
-                np.subtract(p[0], np.multiply(g[a], g[a + d], out=tmp), out=p[0])
+            np.subtract(u, block[self.center].real, out=tmp)
+            np.multiply(u, tmp, out=p[0])
+            for gr, gc in zip(grad_u, lay.grad_c):
+                np.subtract(p[0], np.multiply(gr, gc, out=tmp), out=p[0])
         elif with_zeta:
-            np.multiply(g[0], g[0], out=p[0])
+            np.multiply(u, u, out=p[0])
         if noise_on:
-            np.multiply(vel[0], g[lo], out=p[-1])
-            for a in range(1, d):
-                np.add(p[-1], np.multiply(vel[a], g[lo + a], out=tmp), out=p[-1])
+            np.multiply(vel[0], grad_u[0], out=p[-1])
+            for v, gr in zip(vel[1:], grad_u[1:]):
+                np.add(p[-1], np.multiply(v, gr, out=tmp), out=p[-1])
         self._from_grid(lay.back)
-        if ks:  # a divergence: zero mean analytically
+        if lay.ks:  # a divergence: zero mean analytically
             h[0][self.center] = 0.0
         if noise_on:
             h[-1][self.center] = 0.0
         zeta = None
         if with_zeta:
-            zeta = h[0] if ks else np.subtract(h[0], block, out=self._blk)
+            zeta = h[0] if lay.ks else np.subtract(h[0], block, out=self._blk)
         return zeta, (h[-1] if noise_on else None)
 
 
@@ -529,10 +526,10 @@ class _Engine(GridPass):
         super().__init__(cfg.d, cfg.M, cfg.zeta, noise)
         self.lin_mult = (-(self.lap**cfg.s) - cfg.b * self.lap).astype(np.complex128)
         # (x*x) @ norm_w on the interleaved float view x of a half block gives the
-        # squared L2, H^s and H^-gamma norms; a row with k_last > 0 counts its mirror too
+        # squared L2, H^s and H^-gamma norms; a row with k_0 > 0 counts its mirror too
         w = np.stack([np.ones_like(self.ksq), (1.0 + self.ksq) ** cfg.s,
                       (1.0 + self.ksq) ** (-cfg.gamma)], axis=-1)
-        w[..., 1:, :] *= 2.0
+        w[1:] *= 2.0
         self.norm_w = np.repeat(w.reshape(-1, 3), 2, axis=0)
 
     def drift_block(self, block: np.ndarray, lval: float, dw=None, vel=None):
@@ -579,7 +576,7 @@ def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
     u0_field = build_initial_field(cfg, initial_rng(cfg.seed, run_index))
     if math.sqrt(float(np.sum(np.abs(u0_field.coeffs) ** 2))) >= cfg.blowup_threshold:
         raise InvalidParameterError("initial field norm must lie below blowup_threshold")
-    u0 = u0_field.coeffs[..., cfg.M:].copy()  # the half block k_last = 0..M
+    u0 = u0_field.coeffs[cfg.M:].copy()  # the half block k_0 = 0..M
 
     dt = cfg.dt
     if not classical:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
-import mpmath
 import numpy as np
 
 from .errors import InvalidParameterError, OutOfRangeError, ShapeError
@@ -224,6 +223,8 @@ def _ml_recip_gammas(alpha: float, gamma_par: float, n_terms: int, dps: int):
     in doubles perturbs Gamma by ~1e-14 relative, which the alternating
     series amplifies by the largest term magnitude.
     """
+    import mpmath  # only the series needs it: importing it costs ~20 ms
+
     with mpmath.workdps(dps):
         a = mpmath.mpf(alpha)
         g = mpmath.mpf(gamma_par)
@@ -259,6 +260,8 @@ def mittag_leffler(alpha: float, gamma_par: float, z: float) -> float:
     # generous for the validated range.
     n_terms = 64 + int(8.0 * (abs(z) ** (1.0 / alpha)) / max(alpha, 0.25))
     rg = _ml_recip_gammas(alpha, gamma_par, n_terms, dps)
+    import mpmath
+
     with mpmath.workdps(dps):
         zz = mpmath.mpf(z)
         total = mpmath.mpf(0)

@@ -14,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvalidParameterError, ShapeError
-from .spectral import SpectralField, hermitian_block
+from .spectral import SpectralField, _validate_dim, hermitian_block
 
 
 def canonical_pair_rep(m: Iterable[int]) -> tuple:
@@ -104,6 +104,7 @@ class ThetaSequence:
 
 def make_theta_cutoff(N: int, d: int) -> ThetaSequence:
     """theta_m = 1 on 0 < ||m||_inf <= N; the l_inf/l2 ratio decays as N grows."""
+    _validate_dim(d)
     if N < 1:
         raise InvalidParameterError(f"cutoff radius N must be >= 1, got {N}")
     modes = [
@@ -266,5 +267,5 @@ def transport_term(
     if theta.d != u.d:
         raise ShapeError(f"theta dimension {theta.d} does not match d = {u.d}")
     kernel = GridPass(u.d, u.M, noise=(theta, basis, A))
-    half = kernel.zeta_block(u.coeffs[..., u.M:], False, inc.values)[1]
+    half = kernel.zeta_block(u.coeffs[u.M:], False, inc.values)[1]
     return SpectralField(u.d, u.M, hermitian_block(half))

@@ -130,14 +130,14 @@ class GridField:
 
 
 def hermitian_block(half: np.ndarray) -> np.ndarray:
-    """The full block (n, ..., n) of a half block (n, ..., n, M+1) of k_last = 0..M.
+    """The full block (n, ..., n) of a half block (M+1, n, ..., n) of k_0 = 0..M.
 
-    Mirrors the k_last > 0 rows and averages the k_last = 0 plane as
+    Mirrors the k_0 > 0 planes and averages the k_0 = 0 plane as
     (x_k + conj(x_{-k})) / 2: exactly Hermitian, with an exactly real mean.
     """
-    M, rev = half.shape[-1] - 1, (slice(None, None, -1),) * (half.ndim - 1)
-    out = np.concatenate([np.conj(half[rev + (slice(M, 0, -1),)]), half], axis=-1)
-    out[..., M] = (half[..., 0] + np.conj(half[rev + (0,)])) / 2
+    M, rev = len(half) - 1, (slice(None, None, -1),) * (half.ndim - 1)
+    out = np.concatenate([np.conj(half[(slice(M, 0, -1),) + rev]), half])
+    out[M] = (half[0] + np.conj(half[0][rev])) / 2
     return out
 
 
@@ -255,14 +255,15 @@ def grid_resolution(M: int, dealias: bool = True) -> int:
     return r
 
 
-def _dft_pair(K: int, R: int):
-    """E[x, k] = exp(2 pi i x k / R) for x < R, |k| <= K, and its real form E_re.
+def _dft(K: int, R: int) -> np.ndarray:
+    """E[x, k] = exp(2 pi i x k / R) for x < R, |k| <= K."""
+    return np.exp((TWO_PI * 1j / R) * (np.outer(np.arange(R), np.arange(-K, K + 1)) % R))
 
-    E_re has rows Re E[:, k], -Im E[:, k], so a complex block viewed as
-    interleaved (re, im) floats times E_re is Re(block @ E.T).
-    """
-    E = np.exp((TWO_PI * 1j / R) * (np.outer(np.arange(R), np.arange(-K, K + 1)) % R))
-    return E, np.stack([E.real.T, -E.imag.T], axis=1).reshape(-1, R)
+
+def _real_rows(A: np.ndarray) -> np.ndarray:
+    """Rows Re A[:, k], -Im A[:, k]: a complex block viewed as interleaved
+    (re, im) floats times them is Re(block @ A.T)."""
+    return np.stack([A.real.T, -A.imag.T], axis=1).reshape(-1, len(A))
 
 
 #: one transform direction for C stacked channels with its arrays bound: a run
@@ -273,66 +274,101 @@ TransformPlan = namedtuple("TransformPlan", "input ops output")
 class GridTransform:
     """Pruned matrix DFTs between half blocks on ||k||_inf <= M and R^d point values.
 
-    One matmul per axis: only the 2M+1 retained frequencies go in and come
-    out, and on blocks this small that beats an FFT call.  Any R >= 2M+1
-    works; it is not rounded to a power of two.  The grid values are real, so
-    the coefficient block is Hermitian and its k_last < 0 half is the
-    conjugate mirror of the rest: both directions carry only the half block
-    (n, ..., n, M+1) of k_last = 0..M, as the r2c/c2r transforms of FFTW do.
-    The inverse ends with a real matmul on the interleaved float view of the
-    half, the rows of k_last > 0 counted twice: its output is Re sum, so the
-    grid sees only the Hermitian part of the k_last = 0 plane.  The forward
-    keeps the k_last >= 0 columns of its first, real, matmul and runs the
-    other axes on the half; its last matmul writes the half block.  Each
-    direction and channel count has one plan, built on first use and shared
-    by every caller with that count, so a returned array is valid only until
-    the next run of the same plan.
+    Only the 2M+1 retained frequencies go in and come out, and on blocks this
+    small a matmul beats an FFT call.  Any R >= 2M+1 works; it is not rounded
+    to a power of two.  The grid values are real, so the coefficient block is
+    Hermitian and its k_0 < 0 half is the conjugate mirror of the rest: both
+    directions carry only the half block (M+1, n, ..., n) of k_0 = 0..M, the
+    half axis first, as the r2c/c2r transforms of FFTW do on their last axis.
+
+    Every pass is one GEMM per channel, by sum factorization with axis
+    rotation (Orszag 1980): the inverse contracts the last axis of each
+    channel through a transposed operand, E @ X.T, and writes the new grid
+    axis first; after the d-1 complex axes the half axis k_0 is last, and a
+    real matmul on the interleaved float view, its rows of k_0 > 0 counted
+    twice, gives Re sum (the grid sees only the Hermitian part of the
+    k_0 = 0 plane).  The grid comes out in the rotated axis order
+    (x_1, ..., x_{d-1}, x_0); only the public to_grid and from_grid
+    transpose it.  The forward mirrors this: the real pass over x_0 first,
+    keeping the k_0 >= 0 columns, then each pass contracts the first axis
+    and writes the new one last, which returns the half block in its own
+    order.  A plan with grad also gives each channel's gradient: the pass
+    over axis a stacks E diag(2 pi i k) under E, and the blocks already
+    differentiated along a later axis take E alone, so the value and the d
+    derivatives share their intermediates.  Each direction, channel count
+    and grad has one plan, built on first use and shared by every caller
+    with that key, so a returned array is valid only until the next run of
+    the same plan.
     """
 
     def __init__(self, d: int, M: int, R: int):
         self.d, self.M, self.R = d, M, R
-        self._E, E_re = _dft_pair(M, R)
-        # forward: F = conj(E).T / R, and grids @ F_re viewed as complex is grids @ F.T
-        self._F, self._F_half = self._E.conj().T / R, np.ascontiguousarray(E_re[2 * M:].T / R)
-        # the k_last < 0 half adds the conjugate of the k_last > 0 rows: their Re twice
-        self._E_half = E_re[2 * M:] * np.repeat([1.0] + [2.0] * M, 2)[:, None]
+        E, ik = _dft(M, R), TWO_PI * 1j * np.arange(-M, M + 1)
+        self._E, self._E_dE = E, np.concatenate([E, E * ik])
+        # the k_0 < 0 half adds the conjugate of the k_0 > 0 rows: their Re twice
+        half = E[:, M:] * np.array([1.0] + [2.0] * M)
+        self._E_half = np.stack([_real_rows(half), _real_rows(half * ik[M:])])
+        # forward: F = conj(E).T / R; grids @ F_half viewed as complex is grids @ F.T
+        self._FT = E.conj() / R
+        self._F_half = np.ascontiguousarray(_real_rows(E[:, M:]).T / R)
         self._plans = {}
 
-    def plan(self, C: int, from_grid: bool = False) -> TransformPlan:
-        """The plan of C channels for _to_grid, or for _from_grid if from_grid."""
-        if (C, from_grid) not in self._plans:
-            self._plans[C, from_grid] = (self._from_plan if from_grid else self._to_plan)(C)
-        return self._plans[C, from_grid]
+    def plan(self, C: int, from_grid: bool = False, grad: bool = False) -> TransformPlan:
+        """The plan of C channels for _to_grid (with each channel's gradient
+        if grad), or for _from_grid if from_grid."""
+        key = (C, from_grid, grad)
+        if key not in self._plans:
+            self._plans[key] = self._from_plan(C) if from_grid else self._to_plan(C, grad)
+        return self._plans[key]
 
-    def _to_plan(self, C: int) -> TransformPlan:
-        n, R, d, ops = 2 * self.M + 1, self.R, self.d, []
-        x = stack = np.zeros((C,) + (n,) * (d - 1) + (self.M + 1,), np.complex128)
-        # inner axes first: the batches of small matmuls number C n^ax, not C R^ax
-        for ax in reversed(range(d - 1)):
-            a = x.reshape(C * n**ax, n, -1)
-            x = np.empty((len(a), R, a.shape[2]), np.complex128)
-            ops.append((np.matmul, (self._E, a, x)))
-        a, x = x.reshape(-1, self.M + 1).view(np.float64), np.empty((C * R ** (d - 1), R))
-        ops.append((np.matmul, (a, self._E_half, x)))
-        return TransformPlan(stack, tuple(ops), x.reshape((C,) + (R,) * d))
+    def _to_plan(self, C: int, grad: bool) -> TransformPlan:
+        M, n, R, d, ops = self.M, 2 * self.M + 1, self.R, self.d, []
+        shape = (M + 1,) + (n,) * (d - 1)
+        stack = np.zeros((C,) + shape, np.complex128)
+        # x[c, 0] is channel c's value so far, x[c, 1:] its blocks differentiated already
+        x = stack[:, None]
+        for _ in range(d - 1):  # contract the last axis, write the new one first
+            g, shape = x.shape[1], (R,) + shape[:-1]
+            a, y = x.reshape(C, g, -1, n), np.empty((C, g + grad) + shape, np.complex128)
+            rows = a.shape[2]
+            ops.append((np.matmul, (self._E_dE if grad else self._E, a[:, 0].mT,
+                                    y[:, :1 + grad].reshape(C, -1, rows))))
+            if g > 1:
+                ops.append((np.matmul, (self._E, a[:, 1:].mT,
+                                        y[:, 2:].reshape(C, g - 1, R, rows))))
+            x = y
+        # the half axis, now last: a real matmul on the interleaved float view
+        g = x.shape[1]
+        a = x.reshape(C, g, -1, M + 1).view(np.float64)
+        out = np.empty((C, g + grad, R ** (d - 1), R))
+        if grad:
+            ops.append((np.matmul, (a[:, :1], self._E_half, out[:, :2])))
+            if g > 1:
+                ops.append((np.matmul, (a[:, 1:].reshape(C, -1, 2 * M + 2), self._E_half[0],
+                                        out[:, 2:].reshape(C, -1, R))))
+        else:  # one GEMM over the rows of every channel
+            ops.append((np.matmul, (a.reshape(-1, 2 * M + 2), self._E_half[0],
+                                    out.reshape(-1, R))))
+        return TransformPlan(stack, tuple(ops), out.reshape((-1,) + (R,) * d))
 
     def _from_plan(self, C: int) -> TransformPlan:
-        n, R, d = 2 * self.M + 1, self.R, self.d
-        grids, x = np.zeros((C,) + (R,) * d), np.empty((C * R ** (d - 1), 2 * (self.M + 1)))
-        out = np.empty((C,) + (n,) * (d - 1) + (self.M + 1,), np.complex128)
-        ops = [(np.matmul, (grids.reshape(-1, R), self._F_half, x))]
-        x = x.view(np.complex128)
-        for ax in range(d - 1):  # inner axes last, as in _to_plan
-            a = x.reshape(C * n**ax, R, -1)
-            x = (np.empty((len(a), n, a.shape[2]), np.complex128) if ax < d - 2
-                 else out.reshape(len(a), n, -1))
-            ops.append((np.matmul, (self._F, a, x)))
-        return TransformPlan(grids, tuple(ops), out)
+        M, n, R, d = self.M, 2 * self.M + 1, self.R, self.d
+        grids = np.zeros((C,) + (R,) * d)
+        x = np.empty((C,) + (R,) * (d - 1) + (M + 1,), np.complex128)
+        ops = [(np.matmul, (grids.reshape(-1, R), self._F_half,
+                            x.reshape(-1, M + 1).view(np.float64)))]
+        for _ in range(d - 1):  # contract the first axis, write it last
+            y = np.empty((C,) + x.shape[2:] + (n,), np.complex128)
+            ops.append((np.matmul, (x.reshape(C, R, -1).mT, self._FT, y.reshape(C, -1, n))))
+            x = y
+        return TransformPlan(grids, tuple(ops), x)
 
     def _to_grid(self, plan: TransformPlan) -> np.ndarray:
-        """Run a plan: the real point values (C, R, ..., R) of the half blocks
-        (C, n, ..., n, M+1) in plan.input, or for a from-grid plan (_from_grid)
-        the half blocks (C, n, ..., n, M+1) of the real grids in plan.input."""
+        """Run a plan: the real point values (C', R, ..., R) in rotated axis
+        order of the half blocks (C, M+1, n, ..., n) in plan.input (C' = C,
+        or C (1 + d) for a grad plan: each channel's value, then its d
+        derivatives), or for a from-grid plan (_from_grid) the half blocks
+        of the real grids in plan.input."""
         for op, args in plan.ops:
             op(*args)
         return plan.output
@@ -344,7 +380,7 @@ def to_grid(f: SpectralField, dealias: bool = True, resolution: int | None = Non
     """Evaluate the field on the equispaced grid (a GridTransform at that resolution).
 
     The block is taken to be Hermitian, as a SpectralField's is: its half with
-    k_last < 0 is not read.
+    k_0 < 0 is not read.
     """
     R = resolution if resolution is not None else grid_resolution(f.M, dealias)
     if R < (3 * f.M + 1 if dealias else 2 * f.M + 1):
@@ -352,8 +388,8 @@ def to_grid(f: SpectralField, dealias: bool = True, resolution: int | None = Non
             f"resolution {R} too small for M = {f.M} (dealias={dealias})"
         )
     transform = GridTransform(f.d, f.M, R)
-    transform.plan(1).input[0] = f.coeffs[..., f.M:]
-    return GridField(f.d, R, transform._to_grid(transform.plan(1))[0])
+    transform.plan(1).input[0] = f.coeffs[f.M:]
+    return GridField(f.d, R, np.moveaxis(transform._to_grid(transform.plan(1))[0], -1, 0))
 
 
 def from_grid(g: GridField, M: int) -> SpectralField:
@@ -363,7 +399,7 @@ def from_grid(g: GridField, M: int) -> SpectralField:
             f"grid resolution {g.resolution} cannot represent modes up to M = {M}"
         )
     transform = GridTransform(g.d, M, g.resolution)
-    transform.plan(1, from_grid=True).input[0] = g.values
+    transform.plan(1, from_grid=True).input[0] = np.moveaxis(g.values, 0, -1)
     half = transform._from_grid(transform.plan(1, from_grid=True))[0]
     return SpectralField(g.d, M, hermitian_block(half))
 

@@ -241,6 +241,11 @@ class TestCli:
         mat = np.array(payload["isotropy_matrix"])
         assert np.allclose(mat, payload["isotropy_target"] * np.eye(3), atol=1e-10)
 
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_noise_audit_dimension_exit_code(self, d, capsys):
+        assert cli.main(["noise-audit", "--N", "1", "--d", str(d)]) == 2
+        assert f"dimension d must be 2 or 3, got {d}" in capsys.readouterr().err
+
     def test_dichotomy(self, capsys):
         rc = cli.main(["dichotomy", "--beta", "1.0", "--x0", "0.5,2.0",
                        "--dt", "1e-3", "--t-end", "3.0"])

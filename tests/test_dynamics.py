@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -121,8 +123,54 @@ def _brute_force_keller_segel(rho: sp.SpectralField) -> np.ndarray:
 
 
 def _half(f: sp.SpectralField) -> np.ndarray:
-    """The half block k_last = 0..M of a field, the layout of the integrator's state."""
-    return np.ascontiguousarray(f.coeffs[..., f.M:])
+    """The half block k_0 = 0..M of a field, the layout of the integrator's state."""
+    return np.ascontiguousarray(f.coeffs[f.M:])
+
+
+def _steady_allocations(steady) -> tuple:
+    """(largest, kept): the most memory one bytecode instruction of fracspde
+    allocated during steady(), beyond what was live when it began, and the
+    memory steady() left allocated.
+
+    An instruction that makes an array of n bytes counts at least n, whatever
+    numpy's fixed cost of one call (about 0.5 kB) and however many calls come
+    before or after it.  steady() runs twice under the trace and only the
+    second run counts: the first traced call of a function allocates its
+    tracing tables.  The frame of each call is held until a later trace
+    event, so that its release does not offset an allocation.
+    """
+    src, held, n = os.path.dirname(dyn.__file__), [None] * 64, 0
+    worst = live = 0
+
+    def trace(frame, event, arg):
+        nonlocal worst, live, n
+        worst = max(worst, tracemalloc.get_traced_memory()[1] - live)
+        if event == "call":
+            held[n % len(held)], n = frame, n + 1
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        if not frame.f_code.co_filename.startswith(src):
+            return None
+        frame.f_trace_opcodes = True
+        return trace
+
+    def run():
+        steady()
+        held[:] = [None] * len(held)
+        return tracemalloc.get_traced_memory()[0]
+
+    outer = sys.gettrace()
+    tracemalloc.start()
+    sys.settrace(trace)
+    try:
+        before = run()
+        tracemalloc.reset_peak()
+        worst, live = 0, tracemalloc.get_traced_memory()[0]
+        kept = run() - before
+        return worst, kept
+    finally:
+        sys.settrace(outer)
+        tracemalloc.stop()
 
 
 class TestGridPass:
@@ -143,6 +191,22 @@ class TestGridPass:
         ref = nm.transport_term(u, eng.theta, nm.build_noise_basis(eng.theta), inc,
                                 nm.amplitude_A(cfg.b, eng.theta))
         assert np.max(np.abs(t - ref.coeffs)) <= 1e-12
+
+    @pytest.mark.parametrize("d,zeta", [(2, "fisher"), (3, "keller_segel")])
+    def test_constant_field_gives_exact_zeros(self, d, zeta):
+        # the differentiated DFT matrices vanish on the k = 0 column exactly
+        cfg = make_cfg(d=d, M=3, b=1.0, noise_N=2, zeta=zeta)
+        eng = dyn._Engine(cfg)
+        f = sp.constant(d, 3, 0.8)
+        dw = nm.sample_increments(eng.theta, 0.01, np.random.default_rng(17)).values
+        transport = eng.zeta_block(_half(f), True, dw)[1]
+        lay = eng._layouts[3]
+        assert all(np.all(g == 0.0) for g in lay.grad_u + lay.grad_c)
+        assert np.all(transport == 0.0)
+        A = nm.amplitude_A(cfg.b, eng.theta)
+        inc = nm.NoiseIncrements(0.01, eng.theta.half_modes, dw)
+        out = nm.transport_term(f, eng.theta, nm.build_noise_basis(eng.theta), inc, A)
+        assert np.all(out.coeffs == 0.0)
 
     @pytest.mark.parametrize("d,zeta", [(2, "fisher"), (3, "keller_segel")])
     def test_reused_engine_matches_fresh_engine(self, d, zeta):
@@ -168,21 +232,22 @@ class TestGridPass:
     @pytest.mark.parametrize("d,M,zeta,lval", [(2, 4, "fisher", 0.7), (3, 3, "keller_segel", 0.7),
                                                (2, 4, "fisher", 0.0)])
     def test_steady_calls_allocate_no_block(self, d, M, zeta, lval):
-        # after one warm-up call per layout, the calls allocate nothing of a block's size
+        # after one warm-up call per layout, no single allocation of the calls
+        # reaches a half block, and they keep nothing
         cfg = make_cfg(d=d, M=M, b=1.0, noise_N=2, zeta=zeta)
         eng = dyn._Engine(cfg)
         rng = np.random.default_rng(14)
         u = _half(sp.random_field(rng, d, M, 1.0, 1.0, mean=0.6))
         dws = [nm.sample_increments(eng.theta, 0.01, rng).values for _ in range(50)]
         eng.drift_block(u, lval, dws[0])
-        tracemalloc.start()
-        try:
+
+        def steady():
             for dw in dws:
                 eng.drift_block(u, lval, dw)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < u.nbytes
+
+        largest, kept = _steady_allocations(steady)
+        assert largest < u.nbytes
+        assert kept < u.nbytes
 
     def test_public_results_are_not_work_arrays(self):
         cfg = make_cfg(b=1.0, zeta="fisher")
@@ -261,15 +326,15 @@ class TestVelocityBlock:
                for _ in range(4)]
         for vel in eng.velocity(dws[0]):
             eng.drift_block(u, 0.7, vel=vel)
-        tracemalloc.start()
-        try:
+
+        def steady():
             for dw in dws:
                 for vel in eng.velocity(dw):
                     eng.drift_block(u, 0.7, vel=vel)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < u.nbytes
+
+        largest, kept = _steady_allocations(steady)
+        assert largest < u.nbytes
+        assert kept < u.nbytes
 
 
 class TestDrift:
@@ -457,7 +522,7 @@ class TestIntegrateStochastic:
 
     @pytest.mark.parametrize("d,beta,zeta", [(3, 1.0, "keller_segel"), (2, 0.9, "fisher")])
     def test_snapshots_exactly_hermitian(self, d, beta, zeta):
-        # the state is a half block whose k_last = 0 plane carries rounding;
+        # the state is a half block whose k_0 = 0 plane carries rounding;
         # the snapshots are full blocks, exactly Hermitian with a real mean
         cfg = make_cfg(
             d=d, M=3, beta=beta, b=0.5, noise_N=2, zeta=zeta, dt=1e-4, t_end=0.01,

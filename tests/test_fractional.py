@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +108,16 @@ class TestVolterraHistory:
 
 
 class TestMittagLeffler:
+    def test_package_import_leaves_mpmath_unloaded(self):
+        # only the series imports mpmath, so the CLI and the simulator do not pay for it
+        src = str(Path(fractional.__file__).resolve().parents[1])
+        code = "import sys, fracspde; print('mpmath' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                                 [src, os.environ.get("PYTHONPATH", "")])})
+        assert out.stdout.strip() == "False"
+
     def test_exponential_case(self):
         assert mittag_leffler(1.0, 1.0, 1.0) == pytest.approx(math.e, abs=1e-12)
 

@@ -183,24 +183,64 @@ class TestGridTransforms:
         assert np.array_equal(c, np.conj(c[rev]))
         assert c[(M,) * d].imag == 0.0
 
+    # R = 3M+1, and R = 2M+N+1 of a noise radius N > M (N = 5, 3 and 4)
+    @pytest.mark.parametrize("d,M,R", [(2, 4, 13), (2, 3, 12), (3, 2, 8), (3, 3, 11)])
+    def test_grad_plan_matches_multiplier_fields(self, d, M, R):
+        # the values and gradients of u and c = (-Laplace)^-1 u of a two-channel
+        # grad plan, the Keller-Segel layout, against to_grid of the fields
+        # 2 pi i k_a u_k, in the plan's rotated axis order
+        u = random_field(70 + M, d=d, M=M, mean=0.4)
+        c = sp.laplacian_inverse(u)
+        t = sp.GridTransform(d, M, R)
+        plan = t.plan(2, grad=True)
+        plan.input[0], plan.input[1] = u.coeffs[M:], c.coeffs[M:]
+        got = t._to_grid(plan)
+        assert got.shape == (2 * (d + 1),) + (R,) * d
+        for i, f in enumerate((u, c)):
+            for a, g in enumerate((f,) + sp.gradient(f)):
+                ref = np.moveaxis(sp.to_grid(g, resolution=R).values, 0, -1)
+                err = np.max(np.abs(got[i * (d + 1) + a] - ref))
+                assert err <= 1e-13 * np.max(np.abs(ref)), (i, a)
+
+    @pytest.mark.parametrize("d,M,R", [(2, 4, 13), (3, 3, 10)])
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_plan_of_channels_is_one_channel_plans_bitwise(self, d, M, R, grad):
+        C, per = 5, 1 + d * grad
+        t = sp.GridTransform(d, M, R)
+        fields = [random_field(80 + i, d=d, M=M, mean=0.3) for i in range(C)]
+        many, one = t.plan(C, grad=grad), t.plan(1, grad=grad)
+        for i, f in enumerate(fields):
+            many.input[i] = f.coeffs[M:]
+        grids = t._to_grid(many).copy()
+        for i, f in enumerate(fields):
+            one.input[0] = f.coeffs[M:]
+            assert np.array_equal(t._to_grid(one), grids[i * per:(i + 1) * per])
+        values = np.random.default_rng(81).standard_normal((C,) + (R,) * d)
+        many, one = t.plan(C, from_grid=True), t.plan(1, from_grid=True)
+        many.input[:] = values
+        halves = t._from_grid(many).copy()
+        for i in range(C):
+            one.input[0] = values[i]
+            assert np.array_equal(t._from_grid(one)[0], halves[i])
+
     @pytest.mark.parametrize("d,M", [(2, 4), (3, 3)])
     def test_hermitian_block_is_exact_conjugate_mirror(self, d, M):
-        # a random half block: its k_last = 0 plane is not Hermitian
+        # a random half block: its k_0 = 0 plane is not Hermitian
         rng = np.random.default_rng(60 + d)
-        shape = (2 * M + 1,) * (d - 1) + (M + 1,)
+        shape = (M + 1,) + (2 * M + 1,) * (d - 1)
         half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         c = sp.hermitian_block(half)
         rev = (slice(None, None, -1),) * d
         assert np.array_equal(c, np.conj(c[rev]))
         assert c[(M,) * d].imag == 0.0
-        assert np.array_equal(c[..., M + 1:], half[..., 1:])
-        plane = half[..., 0]
-        assert np.array_equal(c[..., M], (plane + np.conj(plane[rev[1:]])) / 2)
+        assert np.array_equal(c[M + 1:], half[1:])
+        plane = half[0]
+        assert np.array_equal(c[M], (plane + np.conj(plane[rev[1:]])) / 2)
 
     @pytest.mark.parametrize("d,M", [(2, 6), (3, 3)])
     def test_hermitian_block_of_a_field_half_is_the_field(self, d, M):
         f = random_field(61, d=d, M=M, mean=0.7)
-        assert np.array_equal(sp.hermitian_block(f.coeffs[..., M:]), f.coeffs)
+        assert np.array_equal(sp.hermitian_block(f.coeffs[M:]), f.coeffs)
 
     def test_grid_is_real_valued(self):
         f = random_field(12)
