@@ -18,7 +18,10 @@ by fractional.VolterraHistory: exact weights for the newest lags, a
 sum-of-exponentials fold of the tail, so a step costs O((window + K) P) and
 the memory does not grow with the step count.  At beta = 1 the weights are
 exactly dt and the recursion collapses to classical Euler-Maruyama, which is
-also how it is computed (incrementally, same partial sums).
+also how it is computed (incrementally, same partial sums).  Configs that
+differ in noise_N only, on one grid, step as one stack (integrate_batch):
+one keyed draw and one grid pass per step for all of them, each member's
+record bitwise the one it gets alone; integrate is the stack of one.
 """
 
 from __future__ import annotations
@@ -179,6 +182,8 @@ class SimConfig:
             )
         if self.noise_N < 0:
             raise InvalidParameterError(f"noise_N must be >= 0, got {self.noise_N}")
+        if self.noise_N > 0:
+            noise_mod.validate_radius(self.noise_N, self.d)
         if self.blowup_threshold <= 0.0:
             raise InvalidParameterError("blowup_threshold must be positive")
         if self.snapshot_stride < 0:
@@ -294,7 +299,7 @@ def cutoff_value(r: float, S: float) -> float:
 
 def zeta_fisher(u: sp.SpectralField) -> sp.SpectralField:
     """Fisher-KPP nonlinearity u^2 - u, dealiased and truncated to M (the grid pass)."""
-    half = GridPass(u.d, u.M, "fisher").zeta_block(u.coeffs[u.M:])[0]
+    half = GridPass(u.d, u.M, "fisher").zeta_block(u.coeffs[None, u.M:])[0][0]
     return sp.SpectralField(u.d, u.M, sp.hermitian_block(half))
 
 
@@ -303,7 +308,7 @@ def zeta_keller_segel(rho: sp.SpectralField) -> sp.SpectralField:
 
     Computed by the grid pass, whose output mean mode is exactly zero.
     """
-    half = GridPass(rho.d, rho.M, "keller_segel").zeta_block(rho.coeffs[rho.M:])[0]
+    half = GridPass(rho.d, rho.M, "keller_segel").zeta_block(rho.coeffs[None, rho.M:])[0][0]
     return sp.SpectralField(rho.d, rho.M, sp.hermitian_block(half))
 
 
@@ -318,7 +323,7 @@ def drift(u: sp.SpectralField, cfg: SimConfig) -> sp.SpectralField:
     if (u.d, u.M) != (cfg.d, cfg.M):
         raise ShapeError(f"field has (d, M) = {(u.d, u.M)} but the config has {(cfg.d, cfg.M)}")
     lval = cutoff_value(sp.sobolev_norm(u, -cfg.gamma), cfg.S)
-    half = _Engine(replace(cfg, noise_N=0)).drift_block(u.coeffs[u.M:], lval)[0]
+    half = _Engine(replace(cfg, noise_N=0)).drift_block(u.coeffs[None, u.M:], [lval])[0][0]
     return sp.SpectralField(u.d, u.M, sp.hermitian_block(half))
 
 
@@ -354,155 +359,219 @@ class TrajectoryRecord:
         }
 
 
+class _Velocity(sp.GridTransform):
+    """Point values of one noise's velocity V = A sum theta_m dW^{m,j} q_{m,j}
+    e^{2 pi i m.x} on R points per axis, for a block of K steps in one pass.
+
+    V lives on ||m||_inf <= N, so it has its own transform, whose work arrays
+    never alias those of the grid pass.  Its half is written from the modes
+    with m_0 >= 0, in the rotated axis order of the plans.
+    """
+
+    def __init__(self, d: int, R: int, noise):
+        """noise is the (theta, basis, A) of the transport term."""
+        self.theta, basis, A = noise
+        half, nh = self.theta.half_modes, self.theta.n_half
+        N = int(np.max(np.abs(half)))
+        super().__init__(d, N, R)
+        # V_m[a] = sum_j q[j, a, m] dW^{m,j}
+        self._q = np.ascontiguousarray((A * self.theta.half_values) * basis.q.transpose(1, 2, 0))
+        self._blocks = {}  # by the number of steps K, built on first use
+        # the modes m of V_m and -m of V_{-m} = conj(V_m) with a first component >= 0
+        # (both of a pair with m_0 = 0): flat positions in one step's (V_m, V_{-m})
+        # rows (2, d, n_half) and in its d channels of V's half input, which is zero
+        # off the support.  Selected in Python: np.nonzero would fault in 64 kB more
+        # of numpy's code, in every process, for a few hundred modes
+        pos, neg = (np.array([i for i, m in enumerate(half.tolist()) if sign * m[0] >= 0],
+                             np.int64) for sign in (1, -1))
+        comp = np.arange(d)[:, None]
+        self._src = np.concatenate([comp * nh + pos, (d + comp) * nh + neg], axis=1).ravel()
+        at = np.concatenate([half[pos], -half[neg]]) + N
+        at[:, 0] -= N
+        shape = (d, N + 1) + (2 * N + 1,) * (d - 1)
+        self._at = np.ravel_multi_index(np.broadcast_arrays(comp, *at.T), shape).ravel()
+
+    def bind_block(self, K: int, out: np.ndarray):
+        """Work arrays, index tables and the K*d-channel plan for K steps, whose
+        point values go to out (K d, R, ..., R).
+
+        (V_m, V_{-m}) of step k sit in row k of pm (2, d, K, n_half), and q is
+        tiled K times and stored complex, so that each product is one call on
+        rows of one dtype: numpy takes buffers for a broadcast or a cast.  The
+        one-step tables are moved to each step's rows and channels.  The plan
+        is this block's own, not a shared one of plan(): it writes into out.
+        """
+        d, nh, plan = self.d, self.theta.n_half, self._to_plan(K * self.d, False, 1, out)
+        k = np.arange(K)[:, None]
+        q = np.tile(self._q, K).astype(np.complex128).reshape(d - 1, d, K, nh)
+        src = ((self._src // nh * K + k) * nh + self._src % nh).ravel()
+        at = (k * plan.input[:d].size + self._at).ravel()
+        pm = np.empty((2, d, K, nh), np.complex128)
+        self._blocks[K] = SimpleNamespace(
+            rows=[list(zip(qj, *pm)) for qj in q], pm=tuple(pm), pm_flat=pm.reshape(-1),
+            src=src, at=at, kept=np.empty(len(src), np.complex128), flat=plan.input.reshape(-1),
+            plan=plan)
+
+    def velocity(self, dw: np.ndarray):
+        """V of K steps, into the out of bind_block(K), from the first n_half
+        rows of each step of dw (K, n >= n_half, d-1)."""
+        nh = self.theta.n_half
+        blk = self._blocks[len(dw)]
+        for j, rows in enumerate(blk.rows):
+            for q, v, tmp in rows:  # no view of dw outlives this: it would add to every peak
+                np.multiply(q, dw[:, :nh, j], out=tmp if j else v)
+                if j:
+                    v += tmp
+        np.conjugate(*blk.pm)
+        blk.pm_flat.take(blk.src, 0, blk.kept, "clip")
+        blk.flat[blk.at] = blk.kept
+        self._to_grid(blk.plan)
+
+
 class GridPass(sp.GridTransform):
-    """Pi_M zeta(u) and the transport term V.grad u from one grid pass.
+    """Pi_M zeta(u) and the transport term V.grad u from one grid pass, for a
+    stack of members.
 
     One inverse transform takes u (and c of Keller-Segel) to the point values
     of u, grad u (and grad c) on R = max(3M+1, 2M+N+1) points per axis,
     where neither product aliases onto ||k||_inf <= M (the 2/3 rule): the
     gradients come from the differentiated DFT matrices of a grad plan (see
     GridTransform), so the value and the gradient share one transform.  The
-    noise velocity V = A sum theta_m dW^{m,j} q_{m,j} e^{2 pi i m.x}, which
-    lives on ||m||_inf <= N, has its own GridTransform, so its work arrays
-    never alias those of the channels.  The products come back in one
-    forward transform.  Every block is a half block (k_0 = 0..M first, see
-    GridTransform): the input u, the multipliers, the channels and the
-    outputs, whose k_0 = 0 plane is not symmetrized (the inverse transform
-    reads only its Hermitian part).  Every grid, V's included, is in the
-    rotated axis order (x_1, ..., x_{d-1}, x_0) of the plans.  V's half is
-    written from the modes with m_0 >= 0.  V does not depend on u, so
-    velocity() builds it for a block of K steps in one pass, on K*d
-    channels, and a grid pass takes one step's V from it (vel).  Each pass
-    has one layout, bound at construction from the zeta kind and whether
-    the noise is on: it does not change with the cut-off value.
-    Multipliers of a block are stored complex: numpy takes buffers for a
-    cast.
+    products come back in one forward transform.  Every block is a half
+    block (k_0 = 0..M first, see GridTransform): the input u, the
+    multipliers, the channels and the outputs, whose k_0 = 0 plane is not
+    symmetrized (the inverse transform reads only its Hermitian part).  Every
+    grid, V's included, is in the rotated axis order (x_1, ..., x_{d-1}, x_0)
+    of the plans.
+
+    The members of a pass differ in their noise only (a batch, see
+    integrate_batch); each has its own _Velocity, and the pass runs over
+    their stacked blocks (B, M+1, n, ...) with B times the channels of one
+    member, in plans whose GEMMs have the one-member shapes.  V does not
+    depend on u, so velocity() builds it for a block of K steps, each
+    member's into its columns of one stack, and a grid pass takes one step's
+    V of every member from it (vel).  Each pass has one layout, bound from the
+    zeta kind, whether the noise is on and the member count: it does not
+    change with the cut-off values; keep() binds it anew when members
+    leave.  Multipliers of a block are stored complex: numpy takes buffers
+    for a cast.
     """
 
     def __init__(self, d: int, M: int, zeta: str = "none", noise=None):
-        """noise is None or the (theta, basis, A) of the transport term."""
-        N = 0 if noise is None else int(np.max(np.abs(noise[0].half_modes)))
+        """noise is None (the noise off, one member) or a list with the
+        (theta, basis, A) of each member's transport term."""
+        N = 0 if noise is None else max(int(np.max(np.abs(n[0].half_modes))) for n in noise)
         super().__init__(d, M, max(3 * M + 1, 2 * M + N + 1))
         # the mean mode and the multipliers on the half block
         self.zeta, self.center = zeta, (0,) + (M,) * (d - 1)
+        self._mean = (slice(None),) + self.center  # the mean mode of each member
         self.ksq = sp._ksq_grid(d, M)[M:]
         self.lap = 4.0 * np.pi**2 * self.ksq
         if zeta == "keller_segel":
             self.inv_lap = np.divide(1.0, self.lap, out=np.zeros_like(self.lap),
                                      where=self.ksq > 0.0).astype(np.complex128)
-        # zeta - u of Fisher, the drift sum, the grid product temporary
-        self._blk, self._drift = np.empty((2,) + self.ksq.shape, np.complex128)
-        self._tmp = np.empty((self.R,) * d)
         self.theta = None
-        if noise is not None:
-            self.theta, basis, A = noise
-            half, nh = self.theta.half_modes, self.theta.n_half
-            # V_m[a] = sum_j q[j, a, m] dW^{m,j}
-            self._vel_q = np.ascontiguousarray((A * self.theta.half_values)
-                                               * basis.q.transpose(1, 2, 0))
-            self._vel = sp.GridTransform(d, N, self.R)
-            self._vel_blocks = {}  # by the number of steps K, built on first use
-            # the modes m of V_m and -m of V_{-m} = conj(V_m) with a first component >= 0
-            # (both of a pair with m_0 = 0): flat positions in one step's (V_m, V_{-m})
-            # rows (2, d, n_half) and in its d channels of V's half input, which is zero
-            # off the support.  Selected in Python: np.nonzero would fault in 64 kB more
-            # of numpy's code, in every process, for a few hundred modes
-            pos, neg = (np.array([i for i, m in enumerate(half.tolist()) if sign * m[0] >= 0],
-                                 np.int64) for sign in (1, -1))
-            comp = np.arange(d)[:, None]
-            self._vel_src = np.concatenate([comp * nh + pos, (d + comp) * nh + neg],
-                                           axis=1).ravel()
-            at = np.concatenate([half[pos], -half[neg]]) + N
-            at[:, 0] -= N
-            shape = (d, N + 1) + (2 * N + 1,) * (d - 1)
-            self._vel_at = np.ravel_multi_index(np.broadcast_arrays(comp, *at.T), shape).ravel()
-        # the one layout: u [grad u] [c, grad c] on the grid; zeta, transport back
-        ks, noise_on = zeta == "keller_segel", noise is not None
-        n_back = (zeta != "none") + noise_on
+        self._vels = None if noise is None else [_Velocity(d, self.R, n) for n in noise]
+        self._bind(1 if noise is None else len(noise))
+
+    def keep(self, members):
+        """Go on with the members at these positions only (the others left)."""
+        self._vels = [self._vels[b] for b in members]
+        self._bind(len(members))
+
+    def _bind(self, B: int):
+        """The layout and the work arrays of B members: u [grad u] [c, grad c]
+        of each member on the grid, zeta and the transport back."""
+        d, ks, noise_on = self.d, self.zeta == "keller_segel", self._vels is not None
+        if noise_on:  # the largest noise: the support of the batch's draw
+            self.theta = max((v.theta for v in self._vels), key=lambda t: t.n_half)
+            self._vel_steps = {}  # the members' V of each step of a block, by K
+        # zeta - u of Fisher, the drift sum, the grid product temporary
+        self._blk, self._drift = np.empty((2, B) + self.ksq.shape, np.complex128)
+        self._tmp = np.empty((self.R,) * (d - 1) + (B * self.R,))
+        n_back = (self.zeta != "none") + noise_on
         self._lay = None  # nothing to compute on the grid
         if n_back:
-            to, back = self.plan(1 + ks, grad=ks or noise_on), self.plan(n_back, from_grid=True)
-            g = tuple(to.output)
+            C, grad = 1 + ks, ks or noise_on
+            to, back = self.plan(C, grad=grad, B=B), self.plan(n_back, from_grid=True, B=B)
+            g, h = tuple(to.output), back.output.reshape((n_back, B) + self.ksq.shape)
+            # the members' mean modes of the outputs that are zero analytically
+            zero = []
+            if ks:  # a divergence
+                zero.append(h[0][self._mean])
+            if noise_on:  # q.m = 0
+                zero.append(h[-1][self._mean])
             self._lay = SimpleNamespace(
-                to=to, back=back, ks=ks, noise=noise_on, chan=tuple(to.input), u=g[0],
-                grad_u=g[1:d + 1], grad_c=g[d + 2:], p=tuple(back.input), h=tuple(back.output))
+                to=to, back=back, ks=ks, noise=noise_on, chan=tuple(to.input[c::C] for c in range(C)),
+                u=g[0], grad_u=g[1:d + 1], grad_c=g[d + 2:], p=tuple(back.input), h=tuple(h),
+                zero=zero,
+                # each member's columns of the temporary, for its mean of Keller-Segel:
+                # a broadcast would take numpy's buffers
+                tmp_m=[self._tmp[..., b * self.R:(b + 1) * self.R] for b in range(B)])
 
-    def _vel_block(self, K: int) -> SimpleNamespace:
-        """Work arrays, index tables and the K*d-channel plan of velocity() for K steps.
-
-        (V_m, V_{-m}) of step k sit at k*n_half in the rows of pm
-        (2, d, K*n_half), and q is tiled K times and stored complex, so that
-        each product is one call on contiguous rows of one dtype: numpy takes
-        buffers for a broadcast, a strided block or a cast.  The one-step
-        tables are moved to each step's rows and channels.
-        """
-        d, nh, plan = self.d, self.theta.n_half, self._vel.plan(K * self.d)
-        k = np.arange(K)[:, None]
-        q = np.tile(self._vel_q, K).astype(np.complex128)
-        src = ((self._vel_src // nh * K + k) * nh + self._vel_src % nh).ravel()
-        at = (k * plan.input[:d].size + self._vel_at).ravel()
-        pm = np.empty((2, d, K * nh), np.complex128)
-        blk = self._vel_blocks[K] = SimpleNamespace(
-            rows=[list(zip(qj, *pm)) for qj in q], pm=tuple(pm), pm_flat=pm.reshape(-1),
-            src=src, at=at, kept=np.empty(len(src), np.complex128), flat=plan.input.reshape(-1),
-            plan=plan, vel=[tuple(plan.output[k * d:(k + 1) * d]) for k in range(K)])
-        return blk
+    def _vel_block(self, K: int) -> list:
+        """The members' V of K steps in one stack (K, d, R, ..., R, B R), in the
+        grid layout of the plans, member b's velocity pass writing its columns:
+        entry k of the list is step k's (V_1, ..., V_d)."""
+        d, R = self.d, self.R
+        V = np.empty((K, d) + (R,) * (d - 1) + (len(self._vels) * R,))
+        for b, v in enumerate(self._vels):
+            v.bind_block(K, V[..., b * R:(b + 1) * R].reshape((K * d,) + (R,) * d))
+        steps = self._vel_steps[K] = [tuple(V[k]) for k in range(K)]
+        return steps
 
     def velocity(self, dw: np.ndarray) -> list:
         """Point values of V for the increments dw (K, n_half, d-1) of K steps.
 
-        One pass for the block: entry k of the returned list is step k's
-        (V_1, ..., V_d), views of work arrays that the next call with K steps
-        overwrites.  One step's increments inc are the block inc[None].
+        dw is drawn on theta, the largest member noise, and each member reads
+        its own increments as the first rows of each step (see
+        noise.sample_increments).  One pass per member for the block: entry k
+        of the returned list is step k's (V_1, ..., V_d), each stacked over
+        the members (see plan), views of work arrays that the next call with K
+        steps overwrites.  One step's increments inc are the block inc[None].
         """
-        K = len(dw)
-        blk = self._vel_blocks.get(K) or self._vel_block(K)
-        for j, rows in enumerate(blk.rows):
-            for q, v, tmp in rows:  # no view of dw outlives this: it would add to every peak
-                np.multiply(q, dw.reshape(-1, self.d - 1)[:, j], out=tmp if j else v)
-                if j:
-                    v += tmp
-        np.conjugate(*blk.pm)
-        blk.pm_flat.take(blk.src, 0, blk.kept, "clip")
-        blk.flat[blk.at] = blk.kept
-        self._vel._to_grid(blk.plan)
-        return blk.vel
+        steps = self._vel_steps.get(len(dw)) or self._vel_block(len(dw))
+        for v in self._vels:
+            v.velocity(dw)
+        return steps
 
-    def zeta_block(self, block: np.ndarray, vel=None):
-        """The grid pass on half blocks: (Pi_M zeta(u) or None, transport or None).
+    def zeta_block(self, blocks: np.ndarray, vel=None):
+        """The grid pass on the members' half blocks (B, M+1, n, ...):
+        (Pi_M zeta(u) or None, transport or None), stacked likewise.  The
+        members' grids sit side by side (see GridTransform.plan).
 
-        The transport needs this step's V: vel, an entry of velocity(), which
-        a pass with the noise on requires.  It is taken in gradient form
-        V.grad u, so a constant u gives exactly 0; its mean mode, zero
-        analytically (q.m = 0), is set to exactly 0.  Outputs are views of
-        work arrays that the next call overwrites.
+        The transport needs this step's V of each member: vel, an entry of
+        velocity(), which a pass with the noise on requires.  It is taken in
+        gradient form V.grad u, so a constant u gives exactly 0; its mean
+        mode, zero analytically (q.m = 0), is set to exactly 0.  Outputs are
+        views of work arrays that the next call overwrites.
         """
         lay = self._lay
-        u, grad_u, p, h, tmp = lay.u, lay.grad_u, lay.p, lay.h, self._tmp
-        np.copyto(lay.chan[0], block)
+        u, p, h, tmp = lay.u, lay.p, lay.h, self._tmp
+        np.copyto(lay.chan[0], blocks)
         if lay.ks:
-            np.multiply(block, self.inv_lap, out=lay.chan[1])
+            np.multiply(blocks, self.inv_lap, out=lay.chan[1])
         self._to_grid(lay.to)
         if lay.ks:
             # -div(rho grad c) = rho (rho - mean rho) - grad rho . grad c
-            np.subtract(u, block[self.center].real, out=tmp)
+            for t, mean in zip(lay.tmp_m, blocks[self._mean].real):
+                t.fill(mean)
+            np.subtract(u, tmp, out=tmp)
             np.multiply(u, tmp, out=p[0])
-            for gr, gc in zip(grad_u, lay.grad_c):
+            for gr, gc in zip(lay.grad_u, lay.grad_c):
                 np.subtract(p[0], np.multiply(gr, gc, out=tmp), out=p[0])
         elif self.zeta == "fisher":
             np.multiply(u, u, out=p[0])
         if lay.noise:
-            np.multiply(vel[0], grad_u[0], out=p[-1])
-            for v, gr in zip(vel[1:], grad_u[1:]):
+            np.multiply(vel[0], lay.grad_u[0], out=p[-1])
+            for v, gr in zip(vel[1:], lay.grad_u[1:]):
                 np.add(p[-1], np.multiply(v, gr, out=tmp), out=p[-1])
         self._from_grid(lay.back)
-        if lay.ks:  # a divergence: zero mean analytically
-            h[0][self.center] = 0.0
-        if lay.noise:
-            h[-1][self.center] = 0.0
+        for mean in lay.zero:
+            mean.fill(0.0)
         zeta = None
         if self.zeta != "none":
-            zeta = h[0] if lay.ks else np.subtract(h[0], block, out=self._blk)
+            zeta = h[0] if lay.ks else np.subtract(h[0], blocks, out=self._blk)
         return zeta, (h[-1] if lay.noise else None)
 
 
@@ -514,15 +583,21 @@ def _noise_support(N: int, d: int):
 
 
 class _Engine(GridPass):
-    """Linear multipliers, norm weights and the grid pass of one config, on the half block."""
+    """Linear multipliers, norm weights and the grid pass of the configs of a
+    batch, on the half block: cfg, and others that differ from it in noise_N
+    only (see batch_key)."""
 
-    def __init__(self, cfg: SimConfig):
+    def __init__(self, cfg: SimConfig, *others: SimConfig):
         noise = None
         if cfg.noise_N > 0:
-            theta, basis = _noise_support(cfg.noise_N, cfg.d)
-            noise = (theta, basis, noise_mod.amplitude_A(cfg.b, theta))
+            noise = []
+            for c in (cfg,) + others:
+                theta, basis = _noise_support(c.noise_N, c.d)
+                noise.append((theta, basis, noise_mod.amplitude_A(c.b, theta)))
         super().__init__(cfg.d, cfg.M, cfg.zeta, noise)
-        self.lin_mult = (-(self.lap**cfg.s) - cfg.b * self.lap).astype(np.complex128)
+        # one row per member: a product of operands of one shape is numpy's fast path
+        lin = (-(self.lap**cfg.s) - cfg.b * self.lap).astype(np.complex128)
+        self.lin_mult = np.repeat(lin[None], len(self._drift), axis=0)
         # (x*x) @ norm_w on the interleaved float view x of a half block gives the
         # squared L2, H^s and H^-gamma norms; a row with k_0 > 0 counts its mirror too
         w = np.stack([np.ones_like(self.ksq), (1.0 + self.ksq) ** cfg.s,
@@ -530,24 +605,44 @@ class _Engine(GridPass):
         w[1:] *= 2.0
         self.norm_w = np.repeat(w.reshape(-1, 3), 2, axis=0)
 
-    def drift_block(self, block: np.ndarray, lval: float, vel=None):
-        """(drift block, transport block or None) for this step's velocity vel
-        (see zeta_block).
+    def keep(self, members):
+        super().keep(members)
+        self.lin_mult = self.lin_mult[:len(members)]  # its rows are all alike
 
-        At lval == 0 the pass still runs if the noise is on, and its zeta is
-        left out, never scaled by 0.  Both are views of work arrays that the
-        next call overwrites.
+    def drift_block(self, blocks: np.ndarray, lvals: list, vel=None):
+        """(drift, transport or None) of the members' half blocks (B, M+1, n, ...)
+        at their cut-off values lvals (a list), for this step's vel (see
+        zeta_block).
+
+        A member at lval == 0 has its zeta left out, never scaled by 0; the
+        pass still runs if the noise is on.  Both are stacks of views of work
+        arrays that the next call overwrites.
         """
-        out = np.multiply(self.lin_mult, block, out=self._drift)
-        add_zeta = self.zeta != "none" and lval != 0.0
+        out = np.multiply(self.lin_mult, blocks, out=self._drift)
+        full = lvals.count(1.0) == len(lvals)  # the cut-off is inactive on most steps
+        add_zeta = self.zeta != "none" and (full or lvals.count(0.0) < len(lvals))
         if not add_zeta and vel is None:
             return out, None
-        zeta, transport = self.zeta_block(block, vel)
+        zeta, transport = self.zeta_block(blocks, vel)
         if add_zeta:
-            if lval != 1.0:  # the cut-off is inactive on most steps
-                zeta *= lval
-            out += zeta
+            if full:
+                out += zeta
+            else:
+                for b, lval in enumerate(lvals):
+                    if lval != 0.0:
+                        if lval != 1.0:
+                            zeta[b] *= lval
+                        out[b] += zeta[b]
         return out, transport
+
+
+def batch_key(cfg: SimConfig):
+    """The configs that share a key run as one batch (integrate_batch): the
+    noise on, equal but for noise_N, and on one grid.  None for a config that
+    runs alone: the noise off."""
+    if cfg.noise_N == 0:
+        return None
+    return replace(cfg, noise_N=0).config_hash(), max(3 * cfg.M + 1, 2 * cfg.M + cfg.noise_N + 1)
 
 
 def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
@@ -559,12 +654,31 @@ def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
     scheduling order.  Blow-up (L2 norm beyond cfg.blowup_threshold, or a
     non-finite field) ends the run and is recorded, not raised.  A
     snapshot_stride whose snapshots would not fit in physical memory is
-    refused before the run starts.
+    refused before the run starts.  This is integrate_batch of one config.
     """
+    return integrate_batch([cfg], run_index)[0]
+
+
+def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[TrajectoryRecord]:
+    """Run trajectory run_index of each config of a batch, stepped as one stack.
+
+    The configs share a batch_key: they differ in noise_N only, so they share
+    the initial field, the linear multipliers, the norm weights and the keyed
+    Philox stream of each step.  One draw per step at the largest N gives
+    each member its own increments as a prefix (noise.sample_increments),
+    each member turns them into V through its own velocity pass, and one
+    grid pass runs over the stacked members.  A member that blows up leaves
+    the stack with its record, and the rest go on.  Every GEMM of a member
+    has its one-member shape, so each record is the one integrate gives.
+    """
+    cfg, B = cfgs[0], len(cfgs)
+    if B > 1 and (batch_key(cfg) is None or len({batch_key(c) for c in cfgs}) > 1):
+        raise InvalidParameterError(
+            "a batch needs configs with the noise on that differ in noise_N only, on one grid")
     steps = cfg.n_steps
     stride = cfg.snapshot_stride
     if stride > 0:
-        need = (steps // stride + 1) * (2 * cfg.M + 1) ** cfg.d * 16
+        need = B * (steps // stride + 1) * (2 * cfg.M + 1) ** cfg.d * 16
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
             raise InvalidParameterError(
@@ -572,73 +686,93 @@ def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
                 f"snapshots, more than the {have} bytes of physical memory"
             )
     classical = cfg.beta == 1.0
-    eng = _Engine(cfg)
+    eng = _Engine(*cfgs)
     u0_field = build_initial_field(cfg, initial_rng(cfg.seed, run_index))
     if math.sqrt(float(np.sum(np.abs(u0_field.coeffs) ** 2))) >= cfg.blowup_threshold:
         raise InvalidParameterError("initial field norm must lie below blowup_threshold")
     u0 = u0_field.coeffs[cfg.M:].copy()  # the half block k_0 = 0..M
+    u0_flat = u0.reshape(-1)
 
     dt = cfg.dt
     if not classical:
-        hist = VolterraHistory(kernel_increments(cfg.beta, dt, steps), u0.size)
-    u = u0.copy()  # updated in place, so its flat views u_flat and x stay valid
-    u0_flat, u_flat = u0.reshape(-1), u.reshape(-1)
-    x = u_flat.view(np.float64)
-    xsq = np.empty_like(x)
+        c_hist = kernel_increments(cfg.beta, dt, steps)
+    u = np.empty((B,) + u0.shape, np.complex128)  # the members' blocks, updated in place
     norm_w = eng.norm_w
-    at_mean = 2 * int(np.ravel_multi_index(eng.center, u.shape))
+    at_mean = 2 * int(np.ravel_multi_index(eng.center, u0.shape))
+    # per member: time, l2, hs, hneg_gamma, mean and cutoff of each recorded step, by
+    # row, so that the record's arrays are views of their first n_rec entries
+    runs = [SimpleNamespace(cfg=c, table=np.empty((6, steps + 1)), snapshots=[], n_rec=steps + 1,
+                            blowup_time=None, hist=None if classical else VolterraHistory(c_hist, u0.size))
+            for c in cfgs]
 
-    # per recorded step: time, l2, hs, hneg_gamma, mean, cutoff
-    table = np.empty((steps + 1, 6))
-    snapshots: List[Tuple[int, sp.SpectralField]] = []
+    def stack(u, live):
+        """Views of the stack u of the live runs that stay valid while it is
+        updated in place: the interleaved floats x, x*x and the norms (each
+        member's a gemv, as for one member), x at the mean; each run's block."""
+        x = u.reshape(len(u), -1).view(np.float64)
+        xsq, nrm = np.empty_like(x), np.empty((len(u), 3))
+        for run, blk in zip(live, u):
+            run.u, run.flat = blk, blk.reshape(-1)
+        return x, xsq, xsq[:, None], nrm, nrm[:, None], x[:, at_mean]
+
+    live = runs
+    u[:] = u0
+    x, xsq, xsq_rows, nrm, nrm_rows, means = stack(u, live)
 
     noise_on = eng.theta is not None
     if noise_on:
-        # one Philox per run, rekeyed per step: same streams as step_rng()
+        # one Philox per batch, rekeyed per step: same streams as step_rng()
         philox = _philox_state(mix_seed(cfg.seed, run_index, _TAG_NOISE), 0)
         step_key = philox["state"]["key"]
         bg = np.random.Philox(key=0)
         gen = np.random.Generator(bg)
         # V of the next K steps at once: K rows of point values fit VELOCITY_BLOCK_BYTES
         k_max = max(1, VELOCITY_BLOCK_BYTES // (8 * cfg.d * eng.R**cfg.d))
-        vels, i = [], 0
-    blew_up = False
-    blowup_time = None
-    n_rec = 0
+        vels, k_next = [], 0
 
     for n in range(steps + 1):
         t_n = n * dt
-        l2sq, hs_sq, hneg_sq = (np.multiply(x, x, out=xsq) @ norm_w).tolist()
-        l2_n = math.sqrt(l2sq)
-        if not math.isfinite(l2_n):
-            blew_up = True
-            blowup_time = t_n
-            break
-        hneg_n = math.sqrt(hneg_sq)
-        lval = cutoff_value(hneg_n, cfg.S)
-        table[n_rec] = (t_n, l2_n, math.sqrt(hs_sq), hneg_n, x[at_mean], lval)
-        n_rec += 1
-        if stride > 0 and n % stride == 0:
-            snapshots.append((n, sp.SpectralField(cfg.d, cfg.M, sp.hermitian_block(u))))
-        if l2_n > cfg.blowup_threshold:
-            blew_up = True
-            blowup_time = t_n
-            break
+        np.multiply(x, x, out=xsq)
+        np.matmul(xsq_rows, norm_w, out=nrm_rows)
+        lvals = []
+        for run, (l2sq, hs_sq, hneg_sq), mean in zip(live, nrm.tolist(), means):
+            l2_n = math.sqrt(l2sq)
+            if not math.isfinite(l2_n):
+                run.n_rec, run.blowup_time = n, t_n
+                continue
+            hneg_n = math.sqrt(hneg_sq)
+            lval = cutoff_value(hneg_n, cfg.S)
+            run.table[:, n] = (t_n, l2_n, math.sqrt(hs_sq), hneg_n, mean, lval)
+            if stride > 0 and n % stride == 0:
+                run.snapshots.append((n, sp.SpectralField(cfg.d, cfg.M, sp.hermitian_block(run.u))))
+            if l2_n > cfg.blowup_threshold:
+                run.n_rec, run.blowup_time = n + 1, t_n
+                continue
+            lvals.append(lval)
+        if len(lvals) < len(live):  # runs that blew up leave the stack with their records
+            keep = [b for b, run in enumerate(live) if run.blowup_time is None]
+            if not keep:
+                break
+            live, u = [live[b] for b in keep], u[keep]
+            x, xsq, xsq_rows, nrm, nrm_rows, means = stack(u, live)
+            eng.keep(keep)  # two or more members: the noise is on
+            if k_next < len(vels):  # V of the block's steps left, of the members left
+                vels, k_next = eng.velocity(dw[k_next:]), 0
         if n == steps:
             break
 
         vel = None
         if noise_on:
-            if i == len(vels):
+            if k_next == len(vels):
                 dw = np.empty((min(k_max, steps - n), eng.theta.n_half, cfg.d - 1), np.complex128)
                 for k in range(len(dw)):
                     step_key[1] = n + k
                     bg.state = philox
                     dw[k] = noise_mod.sample_increments(eng.theta, dt, gen).values
-                vels, i = eng.velocity(dw), 0
-            vel = vels[i]
-            i += 1
-        g, t_blk = eng.drift_block(u, lval, vel)
+                vels, k_next = eng.velocity(dw), 0
+            vel = vels[k_next]
+            k_next += 1
+        g, t_blk = eng.drift_block(u, lvals, vel)
         if classical:
             u += np.multiply(dt, g, out=g)
             if noise_on:
@@ -647,24 +781,28 @@ def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
             if noise_on:
                 g += np.divide(t_blk, dt, out=t_blk)
             # u_{n+1} = u_0 + sum_{k<=n} c_{n+1-k} G_k
-            np.add(u0_flat, hist.push(g), out=u_flat)
+            for run, g_b in zip(live, g):
+                np.add(u0_flat, run.hist.push(g_b), out=run.flat)
 
-    times, l2, hs, hneg, mean, cut = table[:n_rec].T.copy()
-    return TrajectoryRecord(
-        times=times,
-        l2=l2,
-        hs=hs,
-        hneg_gamma=hneg,
-        mean=mean,
-        cutoff=cut,
-        blew_up=blew_up,
-        blowup_time=blowup_time,
-        config_hash=cfg.config_hash(),
-        seed=cfg.seed,
-        run_index=run_index,
-        dt=dt,
-        snapshots=snapshots,
-    )
+    records = []
+    for run in runs:
+        times, l2, hs, hneg, mean, cut = run.table[:, :run.n_rec]
+        records.append(TrajectoryRecord(
+            times=times,
+            l2=l2,
+            hs=hs,
+            hneg_gamma=hneg,
+            mean=mean,
+            cutoff=cut,
+            blew_up=run.blowup_time is not None,
+            blowup_time=run.blowup_time,
+            config_hash=run.cfg.config_hash(),
+            seed=run.cfg.seed,
+            run_index=run_index,
+            dt=dt,
+            snapshots=run.snapshots,
+        ))
+    return records
 
 
 def with_noise_level(cfg: SimConfig, N: int) -> SimConfig:

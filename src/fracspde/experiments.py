@@ -92,31 +92,52 @@ class SurvivalCurve:
             raise InvalidInputError("survival fractions must start at 1 and be non-increasing")
 
 
-def _run_one(args) -> RunSummary:
-    cfg, run_index = args
-    rec = dyn.integrate(cfg, run_index=run_index)
-    return RunSummary(
-        run_index=run_index,
-        blew_up=rec.blew_up,
-        blowup_time=rec.blowup_time,
-        final_norms=rec.final_norms(),
-        n_recorded=len(rec.times),
-    )
+def _run_batch(job) -> List[RunSummary]:
+    """Run run_index of each config of a batch: integrate for one config, else
+    integrate_batch."""
+    cfgs, run_index = job
+    recs = ([dyn.integrate(cfgs[0], run_index=run_index)] if len(cfgs) == 1
+            else dyn.integrate_batch(cfgs, run_index))
+    return [
+        RunSummary(
+            run_index=run_index,
+            blew_up=rec.blew_up,
+            blowup_time=rec.blowup_time,
+            final_norms=rec.final_norms(),
+            n_recorded=len(rec.times),
+        )
+        for rec in recs
+    ]
 
 
 def _run_ensembles(cfgs: List[dyn.SimConfig], n_runs: int,
                    workers: Optional[int]) -> List[List[RunSummary]]:
-    """Runs 0..n_runs-1 of each config from one job list on one pool, grouped per config."""
+    """Runs 0..n_runs-1 of each config from one job list on one pool, grouped per config.
+
+    Run k of the configs that share a dynamics.batch_key is one job, a batch;
+    a config without a key (the noise off) runs alone.  The largest batches
+    come first on the job list.
+    """
     if n_runs < 1:
         raise InvalidParameterError(f"n_runs must be >= 1, got {n_runs}")
-    jobs = [(cfg, k) for cfg in cfgs for k in range(n_runs)]
+    batches = {}
+    for i, cfg in enumerate(cfgs):
+        key = dyn.batch_key(cfg)
+        batches.setdefault(i if key is None else key, []).append(i)
+    order = [(batch, k) for batch in sorted(batches.values(), key=len, reverse=True)
+             for k in range(n_runs)]
+    jobs = [([cfgs[i] for i in batch], k) for batch, k in order]
     w = min(resolve_workers(workers), len(jobs))
     if w <= 1:
-        results = [_run_one(j) for j in jobs]
+        results = [_run_batch(j) for j in jobs]
     else:
         with ProcessPoolExecutor(max_workers=w) as pool:
-            results = list(pool.map(_run_one, jobs, chunksize=max(1, len(jobs) // (4 * w))))
-    return [results[i : i + n_runs] for i in range(0, len(jobs), n_runs)]
+            results = list(pool.map(_run_batch, jobs, chunksize=max(1, len(jobs) // (4 * w))))
+    runs = [[None] * n_runs for _ in cfgs]
+    for (batch, k), summaries in zip(order, results):
+        for i, summary in zip(batch, summaries):
+            runs[i][k] = summary
+    return runs
 
 
 def survival_from_times(

@@ -126,7 +126,7 @@ def write_trajectory(record: TrajectoryRecord, cfg: SimConfig, out_dir) -> Dict[
     cols = [record.times, record.l2, record.hs, record.hneg_gamma, record.mean, record.cutoff]
     # one %-format per row, as in write_survival ("%.17g" is _fmt's format)
     row = "%d" + ",%.17g" * len(cols)
-    rows = [row % r for r in zip(range(len(record.times)), *cols)]
+    rows = [row % r for r in zip(range(len(record.times)), *map(memoryview, cols))]
     traj_path = dest / "trajectory.csv"
     traj_path.write_text("\n".join(["step,time,l2,hs,hneg_gamma,mean,cutoff", *rows]) + "\n")
 
@@ -165,10 +165,11 @@ def write_survival(
         if len(col) < len(grid):  # a curve shorter than the grid holds its last value
             col = np.append(col, np.full(len(grid) - len(col), col[-1]))
         cols.append(col)
-    # one %-format per row ("%.17g" is _fmt's format) keeps no per-cell strings alive
+    # one %-format per row ("%.17g" is _fmt's format) keeps no per-cell strings
+    # alive; a memoryview yields each cell as a Python float, made as it is read
     row = ",".join(["%.17g"] * len(cols))
     path = dest / "survival.csv"
-    path.write_text("\n".join([header, *[row % r for r in zip(*cols)]]) + "\n")
+    path.write_text("\n".join([header, *[row % r for r in zip(*map(memoryview, cols))]]) + "\n")
     write_manifest(dest, config_hash, base_seed, [path.name])
     return {"survival": path}
 

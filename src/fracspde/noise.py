@@ -16,6 +16,10 @@ import numpy as np
 from .errors import InvalidParameterError, ShapeError
 from .spectral import SpectralField, _validate_dim, canonical_half_modes, hermitian_block
 
+#: hard cap on the (2N+1)^d lattice points of a noise radius N, which the
+#: support is enumerated over in Python (d=2: N <= 70; d=3: N <= 13)
+MAX_NOISE_MODES = 20_000
+
 
 def canonical_pair_rep(m: Iterable[int]) -> tuple:
     """Lexicographically larger member of {m, -m} (first nonzero positive)."""
@@ -100,11 +104,22 @@ class ThetaSequence:
         return 0.0 if row is None else float(self.half_values[row])
 
 
-def make_theta_cutoff(N: int, d: int) -> ThetaSequence:
-    """theta_m = 1 on 0 < ||m||_inf <= N; the l_inf/l2 ratio decays as N grows."""
+def validate_radius(N: int, d: int):
+    """Refuse a cutoff radius N below 1, or one whose (2N+1)^d lattice points
+    exceed MAX_NOISE_MODES, before any of them is enumerated."""
     _validate_dim(d)
     if N < 1:
         raise InvalidParameterError(f"cutoff radius N must be >= 1, got {N}")
+    if (2 * N + 1) ** d > MAX_NOISE_MODES:
+        raise InvalidParameterError(
+            f"cutoff radius N = {N} at d = {d} spans (2N+1)^d = {(2 * N + 1) ** d} lattice "
+            f"modes, more than the cap of {MAX_NOISE_MODES}"
+        )
+
+
+def make_theta_cutoff(N: int, d: int) -> ThetaSequence:
+    """theta_m = 1 on 0 < ||m||_inf <= N; the l_inf/l2 ratio decays as N grows."""
+    validate_radius(N, d)
     half = canonical_half_modes(d, N)
     return ThetaSequence(d, half, np.ones(len(half)))
 
@@ -255,6 +270,6 @@ def transport_term(
     _check_aligned(theta, basis)
     if theta.d != u.d:
         raise ShapeError(f"theta dimension {theta.d} does not match d = {u.d}")
-    kernel = GridPass(u.d, u.M, noise=(theta, basis, A))
-    half = kernel.zeta_block(u.coeffs[u.M:], kernel.velocity(inc.values[None])[0])[1]
+    kernel = GridPass(u.d, u.M, noise=[(theta, basis, A)])
+    half = kernel.zeta_block(u.coeffs[None, u.M:], kernel.velocity(inc.values[None])[0])[1][0]
     return SpectralField(u.d, u.M, hermitian_block(half))

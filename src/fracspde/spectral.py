@@ -295,10 +295,10 @@ class GridTransform:
     order.  A plan with grad also gives each channel's gradient: the pass
     over axis a stacks E diag(2 pi i k) under E, and the blocks already
     differentiated along a later axis take E alone, so the value and the d
-    derivatives share their intermediates.  Each direction, channel count
-    and grad has one plan, built on first use and shared by every caller
-    with that key, so a returned array is valid only until the next run of
-    the same plan.
+    derivatives share their intermediates.  Each direction, channel count,
+    grad and member count has one plan, built on first use and shared by
+    every caller with that key, so a returned array is valid only until the
+    next run of the same plan.
     """
 
     def __init__(self, d: int, M: int, R: int):
@@ -313,62 +313,82 @@ class GridTransform:
         self._F_half = np.ascontiguousarray(_real_rows(E[:, M:]).T / R)
         self._plans = {}
 
-    def plan(self, C: int, from_grid: bool = False, grad: bool = False) -> TransformPlan:
-        """The plan of C channels for _to_grid (with each channel's gradient
-        if grad), or for _from_grid if from_grid."""
-        key = (C, from_grid, grad)
+    def plan(self, C: int, from_grid: bool = False, grad: bool = False,
+             B: int = 1) -> TransformPlan:
+        """The plan of B members of C channels each for _to_grid (with each
+        channel's gradient if grad), or for _from_grid if from_grid.
+
+        The members' grids sit side by side along the last axis, B R points
+        long (member b at b R .. b R + R - 1), so that a pointwise product
+        over all members is one call on contiguous arrays.  Half blocks in
+        are member-major (B C, M+1, n, ...), half blocks out channel-major
+        (C B, M+1, n, ...).  A GEMM over the rows of several channels is one
+        per member, of the shape of the one-member plan, so a member's values
+        do not depend on B.
+        """
+        key = (C, from_grid, grad, B)
         if key not in self._plans:
-            self._plans[key] = self._from_plan(C) if from_grid else self._to_plan(C, grad)
+            self._plans[key] = (self._from_plan(C, B) if from_grid
+                                else self._to_plan(C, grad, B))
         return self._plans[key]
 
-    def _to_plan(self, C: int, grad: bool) -> TransformPlan:
+    def _to_plan(self, C: int, grad: bool, B: int, out=None) -> TransformPlan:
+        """The to-grid plan.  It writes its grids into out (C (1 + d grad), R,
+        ..., R, B R) if given, which must take that shape as a view, else
+        into an array of its own."""
         M, n, R, d, ops = self.M, 2 * self.M + 1, self.R, self.d, []
         shape = (M + 1,) + (n,) * (d - 1)
-        stack = np.zeros((C,) + shape, np.complex128)
+        stack = np.zeros((B * C,) + shape, np.complex128)
         # x[c, 0] is channel c's value so far, x[c, 1:] its blocks differentiated already
         x = stack[:, None]
         for _ in range(d - 1):  # contract the last axis, write the new one first
             g, shape = x.shape[1], (R,) + shape[:-1]
-            a, y = x.reshape(C, g, -1, n), np.empty((C, g + grad) + shape, np.complex128)
+            a, y = x.reshape(B * C, g, -1, n), np.empty((B * C, g + grad) + shape, np.complex128)
             rows = a.shape[2]
             ops.append((np.matmul, (self._E_dE if grad else self._E, a[:, 0].mT,
-                                    y[:, :1 + grad].reshape(C, -1, rows))))
+                                    y[:, :1 + grad].reshape(B * C, -1, rows))))
             if g > 1:
                 ops.append((np.matmul, (self._E, a[:, 1:].mT,
-                                        y[:, 2:].reshape(C, g - 1, R, rows))))
+                                        y[:, 2:].reshape(B * C, g - 1, R, rows))))
             x = y
         # the half axis, now last: a real matmul on the interleaved float view
         g = x.shape[1]
-        a = x.reshape(C, g, -1, M + 1).view(np.float64)
-        out = np.empty((C, g + grad, R ** (d - 1), R))
+        a = x.reshape(B, C, g, -1, M + 1).view(np.float64)
+        if out is None:
+            out = np.empty((C * (g + grad),) + (R,) * (d - 1) + (B * R,))
+        # member b's (C, g + grad) grids of R^(d-1) rows, the rows B R apart
+        o = out.reshape(C, g + grad, R ** (d - 1), B, R).transpose(3, 0, 1, 2, 4)
         if grad:
-            ops.append((np.matmul, (a[:, :1], self._E_half, out[:, :2])))
+            ops.append((np.matmul, (a[:, :, :1], self._E_half, o[:, :, :2])))
             if g > 1:
-                ops.append((np.matmul, (a[:, 1:].reshape(C, -1, 2 * M + 2), self._E_half[0],
-                                        out[:, 2:].reshape(C, -1, R))))
-        else:  # one GEMM over the rows of every channel
-            ops.append((np.matmul, (a.reshape(-1, 2 * M + 2), self._E_half[0],
-                                    out.reshape(-1, R))))
-        return TransformPlan(stack, tuple(ops), out.reshape((-1,) + (R,) * d))
+                ops.append((np.matmul, (a[:, :, 1:].reshape(B, C, -1, 2 * M + 2),
+                                        self._E_half[0], o[:, :, 2:].reshape(B, C, -1, R))))
+        else:  # one GEMM per member over the rows of its channels
+            ops.append((np.matmul, (a.reshape(B, -1, 2 * M + 2), self._E_half[0],
+                                    o.reshape(B, -1, R))))
+        return TransformPlan(stack, tuple(ops), out)
 
-    def _from_plan(self, C: int) -> TransformPlan:
+    def _from_plan(self, C: int, B: int) -> TransformPlan:
         M, n, R, d = self.M, 2 * self.M + 1, self.R, self.d
-        grids = np.zeros((C,) + (R,) * d)
-        x = np.empty((C,) + (R,) * (d - 1) + (M + 1,), np.complex128)
-        ops = [(np.matmul, (grids.reshape(-1, R), self._F_half,
-                            x.reshape(-1, M + 1).view(np.float64)))]
-        for _ in range(d - 1):  # contract the first axis, write it last
-            y = np.empty((C,) + x.shape[2:] + (n,), np.complex128)
-            ops.append((np.matmul, (x.reshape(C, R, -1).mT, self._FT, y.reshape(C, -1, n))))
+        grids = np.zeros((C,) + (R,) * (d - 1) + (B * R,))
+        x = np.empty((B, C) + (R,) * (d - 1) + (M + 1,), np.complex128)
+        # one GEMM per member over the rows of its channels, the rows B R apart
+        ops = [(np.matmul, (grids.reshape(C * R ** (d - 1), B, R).swapaxes(0, 1), self._F_half,
+                            x.reshape(B, -1, M + 1).view(np.float64)))]
+        for i in range(d - 1):  # contract the first grid axis, write it last
+            y = np.empty((C, B) + x.shape[3:] + (n,), np.complex128)
+            out = y.swapaxes(0, 1) if i == 0 else y  # the first pass writes channel-major
+            ops.append((np.matmul, (x.reshape(x.shape[:2] + (R, -1)).mT, self._FT,
+                                    out.reshape(out.shape[:2] + (-1, n)))))
             x = y
-        return TransformPlan(grids, tuple(ops), x)
+        return TransformPlan(grids, tuple(ops), x.reshape((C * B,) + x.shape[2:]))
 
     def _to_grid(self, plan: TransformPlan) -> np.ndarray:
-        """Run a plan: the real point values (C', R, ..., R) in rotated axis
-        order of the half blocks (C, M+1, n, ..., n) in plan.input (C' = C,
-        or C (1 + d) for a grad plan: each channel's value, then its d
-        derivatives), or for a from-grid plan (_from_grid) the half blocks
-        of the real grids in plan.input."""
+        """Run a plan: the real point values (C', R, ..., R, B R) in rotated
+        axis order of the half blocks (B C, M+1, n, ..., n) in plan.input
+        (C' = C, or C (1 + d) for a grad plan: each channel's value, then its
+        d derivatives), or for a from-grid plan (_from_grid) the half blocks
+        (C B, M+1, n, ..., n) of the real grids in plan.input."""
         for op, args in plan.ops:
             op(*args)
         return plan.output

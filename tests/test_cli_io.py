@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -245,6 +246,28 @@ class TestCli:
     def test_noise_audit_dimension_exit_code(self, d, capsys):
         assert cli.main(["noise-audit", "--N", "1", "--d", str(d)]) == 2
         assert f"dimension d must be 2 or 3, got {d}" in capsys.readouterr().err
+
+    def test_noise_audit_radius_cap_exit_code(self, capsys):
+        t0 = time.perf_counter()
+        assert cli.main(["noise-audit", "--N", "200", "--d", "3"]) == 2
+        assert time.perf_counter() - t0 < 0.5
+        assert "64481201 lattice modes" in capsys.readouterr().err
+
+    def test_noise_radius_cap_refused_up_front(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a trajectory ran")
+
+        monkeypatch.setattr(dyn, "integrate_batch", no_run)
+        cfg_path = write_config(tmp_path, {"noise_N": 200, "beta": 1.0})
+        rc = cli.main(["--out", str(tmp_path / "o"), "simulate", "--config", str(cfg_path)])
+        assert rc == 2
+        assert "cap of" in capsys.readouterr().err
+        cfg_path = write_config(tmp_path, {"beta": 1.0, "init": {"mean": 1.5, "delta0": 0.1}})
+        rc = cli.main(["--out", str(tmp_path / "o"), "delay-study", "--config", str(cfg_path),
+                       "--levels", "0,2,200", "--runs", "2"])
+        assert rc == 2
+        assert "cap of" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_dichotomy(self, capsys):
         rc = cli.main(["dichotomy", "--beta", "1.0", "--x0", "0.5,2.0",

@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -183,7 +184,7 @@ class TestGridPass:
         u = sp.random_field(rng, d, M, 1.0, 1.0, mean=0.6)
         inc = nm.sample_increments(eng.theta, 0.01, rng)
         vel = eng.velocity(inc.values[None])[0]
-        z, t = (sp.hermitian_block(a) for a in eng.zeta_block(_half(u), vel))
+        z, t = (sp.hermitian_block(a[0]) for a in eng.zeta_block(_half(u)[None], vel))
         if zeta == "keller_segel":
             ref = _brute_force_keller_segel(u)
         else:
@@ -200,7 +201,7 @@ class TestGridPass:
         eng = dyn._Engine(cfg)
         f = sp.constant(d, 3, 0.8)
         dw = nm.sample_increments(eng.theta, 0.01, np.random.default_rng(17)).values
-        transport = eng.zeta_block(_half(f), eng.velocity(dw[None])[0])[1]
+        transport = eng.zeta_block(_half(f)[None], eng.velocity(dw[None])[0])[1]
         lay = eng._lay
         assert all(np.all(g == 0.0) for g in lay.grad_u + lay.grad_c)
         assert np.all(transport == 0.0)
@@ -223,33 +224,37 @@ class TestGridPass:
         calls = [(blk, lval, dw) for blk in (u, v) for lval in (0.7, 0.0) for dw in (dw_u, dw_v)]
         calls += calls[::-1]
         for block, lval, dw in calls:
-            got = [a.copy() for a in eng.drift_block(block, lval, eng.velocity(dw)[0])]
+            got = [a.copy() for a in eng.drift_block(block[None], [lval], eng.velocity(dw)[0])]
             fresh = dyn._Engine(cfg)
-            want = fresh.drift_block(block, lval, fresh.velocity(dw)[0])
+            want = fresh.drift_block(block[None], [lval], fresh.velocity(dw)[0])
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
             if lval == 0.0:
                 assert np.array_equal(got[0], eng.lin_mult * block)
 
-    @pytest.mark.parametrize("d,M,zeta,lval", [(2, 4, "fisher", 0.7), (3, 3, "keller_segel", 0.7),
-                                               (2, 4, "fisher", 0.0)])
-    def test_steady_calls_allocate_no_block(self, d, M, zeta, lval):
+    @pytest.mark.parametrize("d,M,zeta,lvals,Ns", [
+        (2, 4, "fisher", [0.7], [2]), (3, 3, "keller_segel", [0.7], [2]), (2, 4, "fisher", [0.0], [2]),
+        # a batch step: two members, their own cut-off values, one grid pass
+        (2, 4, "fisher", [1.0, 0.7], [2, 4]), (3, 3, "keller_segel", [0.0, 1.0], [2, 3])],
+        ids=["2-4-fisher-0.7", "3-3-keller_segel-0.7", "2-4-fisher-0.0", "2-4-fisher-batch",
+             "3-3-keller_segel-batch"])
+    def test_steady_calls_allocate_no_block(self, d, M, zeta, lvals, Ns):
         # after one warm-up call per layout, no single allocation of the calls
-        # reaches a half block, and they keep nothing
-        cfg = make_cfg(d=d, M=M, b=1.0, noise_N=2, zeta=zeta)
-        eng = dyn._Engine(cfg)
+        # reaches one member's half block, and they keep nothing
+        eng = dyn._Engine(*(make_cfg(d=d, M=M, b=1.0, noise_N=N, zeta=zeta) for N in Ns))
         rng = np.random.default_rng(14)
-        u = _half(sp.random_field(rng, d, M, 1.0, 1.0, mean=0.6))
+        one = _half(sp.random_field(rng, d, M, 1.0, 1.0, mean=0.6))
+        u = np.array([one * (1.0 + b) for b in range(len(Ns))])
         dws = [nm.sample_increments(eng.theta, 0.01, rng).values[None] for _ in range(50)]
-        eng.drift_block(u, lval, eng.velocity(dws[0])[0])
+        eng.drift_block(u, lvals, eng.velocity(dws[0])[0])
 
         def steady():
             for dw in dws:
-                eng.drift_block(u, lval, eng.velocity(dw)[0])
+                eng.drift_block(u, lvals, eng.velocity(dw)[0])
 
         largest, kept = _steady_allocations(steady)
-        assert largest < u.nbytes
-        assert kept < u.nbytes
+        assert largest < one.nbytes
+        assert kept < one.nbytes
 
     def test_public_results_are_not_work_arrays(self):
         cfg = make_cfg(b=1.0, zeta="fisher")
@@ -323,20 +328,114 @@ class TestVelocityBlock:
         eng = dyn._Engine(cfg)
         K = max(1, dyn.VELOCITY_BLOCK_BYTES // (8 * d * eng.R**d))
         rng = np.random.default_rng(16)
-        u = _half(sp.random_field(rng, d, M, 1.0, 1.0, mean=0.6))
+        u = _half(sp.random_field(rng, d, M, 1.0, 1.0, mean=0.6))[None]
         dws = [np.array([nm.sample_increments(eng.theta, 0.01, rng).values for _ in range(K)])
                for _ in range(4)]
         for vel in eng.velocity(dws[0]):
-            eng.drift_block(u, 0.7, vel=vel)
+            eng.drift_block(u, [0.7], vel=vel)
 
         def steady():
             for dw in dws:
                 for vel in eng.velocity(dw):
-                    eng.drift_block(u, 0.7, vel=vel)
+                    eng.drift_block(u, [0.7], vel=vel)
 
         largest, kept = _steady_allocations(steady)
         assert largest < u.nbytes
         assert kept < u.nbytes
+
+
+def _same_record(got, want):
+    for name in ("times", "l2", "hs", "hneg_gamma", "mean", "cutoff"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.blew_up, got.blowup_time, got.config_hash, got.run_index) == (
+        want.blew_up, want.blowup_time, want.config_hash, want.run_index)
+    assert [n for n, _ in got.snapshots] == [n for n, _ in want.snapshots]
+    for (_, f), (_, g) in zip(got.snapshots, want.snapshots):
+        assert np.array_equal(f.coeffs, g.coeffs)
+
+
+# the delay_ensemble benchmark's study: d=2, M=4, levels N = 2, 4 on R = 13
+DELAY = dict(b=2.0, S=1e7, dt=1e-4, t_end=2.0, zeta="fisher", blowup_threshold=1e6,
+             init={"mean": 2.0, "delta0": 2.0})
+# fluctuation-led blow-up: the members leave the stack far apart, or not at all
+STAGGERED = dict(b=2.0, S=1e7, dt=1e-4, t_end=0.6, zeta="fisher", seed=2026,
+                 init={"mean": 0.9, "delta0": 400.0})
+
+
+class TestBatch:
+    """integrate_batch: the noise levels of one run as one stack."""
+
+    @pytest.mark.parametrize("kw,Ns,run", [
+        (dict(DELAY, seed=1), (2, 4), 0), (dict(DELAY, seed=1), (2, 4), 1),
+        (dict(DELAY, seed=2), (2, 4), 0), (dict(DELAY, seed=2), (2, 4), 1),
+        # beta = 0.9: a Volterra history per member, snapshots
+        (dict(beta=0.9, b=0.5, S=10.0, dt=2.5e-5, t_end=110 * 2.5e-5, zeta="fisher", seed=4,
+              init={"mean": 0.5, "delta0": 0.01}, snapshot_stride=13), (2, 4), 2),
+        # N = 1 leaves at 0.43, N = 2 at 0.44, N = 3 at 0.54; the largest noise is first
+        (STAGGERED, (3, 1, 2), 0),
+        # N = 1 leaves at 0.52, N = 2 at 0.57, N = 3 runs to the end
+        (STAGGERED, (3, 1, 2), 2),
+        # the same, with the cut-off and threshold off: they leave on a non-finite norm
+        (dict(STAGGERED, S=1e300, blowup_threshold=1e300), (3, 1, 2), 0),
+        # d=3, M=8 Keller-Segel: the from-grid GEMM of one member over its rows
+        (dict(d=3, M=8, b=1.0, S=10.0, dt=5e-5, t_end=6e-4, zeta="keller_segel", seed=5,
+              init={"mean": 1.0, "delta0": 0.05}, snapshot_stride=4), (2, 4), 1),
+    ], ids=["delay-s1-r0", "delay-s1-r1", "delay-s2-r0", "delay-s2-r1", "beta0.9",
+            "staggered", "one-survives", "non-finite", "d3-keller-segel"])
+    def test_members_equal_their_own_runs(self, kw, Ns, run):
+        cfgs = [make_cfg(noise_N=N, **kw) for N in Ns]
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = dyn.integrate_batch(cfgs, run)
+            for cfg, rec in zip(cfgs, batch):
+                _same_record(rec, dyn.integrate(cfg, run))
+                # integrate is the same stepper: a record also ends at its own blow-up
+                assert np.all(rec.l2[:-1] <= cfg.blowup_threshold)
+                assert rec.blew_up or len(rec.times) == cfg.n_steps + 1
+        if kw is STAGGERED:
+            times = [rec.blowup_time for rec in batch]
+            assert times[1] < times[2] and (times[0] is None or times[2] < times[0])
+
+    @pytest.mark.parametrize("d,Ns", [(2, (1, 2, 4)), (3, (1, 2, 3))])
+    def test_prefix_draws_equal_own_draws(self, d, Ns):
+        # one draw at the largest N holds each smaller level's own draw as a prefix
+        big = nm.make_theta_cutoff(max(Ns), d)
+        for step in (0, 1, 57):
+            drawn = nm.sample_increments(big, 1e-3, dyn.step_rng(9, 3, step)).values
+            for N in Ns:
+                theta = nm.make_theta_cutoff(N, d)
+                own = nm.sample_increments(theta, 1e-3, dyn.step_rng(9, 3, step)).values
+                assert np.array_equal(drawn[:theta.n_half], own), (N, step)
+
+    def test_draws_once_per_step_at_the_largest_level(self, monkeypatch):
+        cfgs = [make_cfg(M=4, b=1.0, noise_N=N, dt=1e-4, t_end=3e-3) for N in (4, 2)]
+        drawn = []
+        sample = nm.sample_increments
+        monkeypatch.setattr(nm, "sample_increments",
+                            lambda th, dt, gen: drawn.append(th.n_half) or sample(th, dt, gen))
+        dyn.integrate_batch(cfgs)
+        assert drawn == [nm.make_theta_cutoff(4, 2).n_half] * cfgs[0].n_steps
+
+    def test_kept_members_match_a_fresh_engine(self):
+        # the largest member leaves: theta, the layout and V follow the members left
+        cfgs = [make_cfg(M=4, b=1.0, noise_N=N, zeta="fisher") for N in (4, 2, 3)]
+        eng = dyn._Engine(*cfgs)
+        rng = np.random.default_rng(20)
+        u = np.array([_half(sp.random_field(rng, 2, 4, 1.0, 1.0, mean=0.6)) for _ in cfgs])
+        dw = np.array([nm.sample_increments(eng.theta, 0.01, rng).values for _ in range(3)])
+        eng.drift_block(u, [1.0] * 3, eng.velocity(dw)[0])
+        eng.keep([1, 2])
+        fresh = dyn._Engine(cfgs[1], cfgs[2])
+        assert eng.theta.n_half == fresh.theta.n_half == nm.make_theta_cutoff(3, 2).n_half
+        for vel, want in zip(eng.velocity(dw), fresh.velocity(dw)):
+            got = [a.copy() for a in eng.drift_block(u[1:], [1.0, 0.5], vel)]
+            for a, b in zip(got, fresh.drift_block(u[1:], [1.0, 0.5], want)):
+                assert np.array_equal(a, b)
+
+    def test_refuses_configs_that_differ_in_more_than_the_noise(self):
+        cfg = make_cfg(M=4, b=1.0, noise_N=2)
+        for other in (replace(cfg, b=2.0), replace(cfg, noise_N=6), replace(cfg, noise_N=0, b=0.0)):
+            with pytest.raises(InvalidParameterError, match="batch"):
+                dyn.integrate_batch([cfg, other])
 
 
 class TestDrift:

@@ -143,6 +143,37 @@ class TestDelayStudy:
         assert CountingPool.started == 1
         assert [lv.noise_N for lv in res.levels] == [1, 2]
 
+    def test_noise_levels_of_a_run_are_one_batch(self, monkeypatch):
+        # levels 1 and 2 share the grid (R = 7): run k of both is one job; the
+        # reference (noise off) and a single-config ensemble run alone
+        batches, alone = [], []  # integrate is integrate_batch of one config
+        batch, one = xp.dyn.integrate_batch, xp.dyn.integrate
+        monkeypatch.setattr(xp.dyn, "integrate_batch", lambda cfgs, k: batches.append(
+            ([c.noise_N for c in cfgs], k)) or batch(cfgs, k))
+        monkeypatch.setattr(xp.dyn, "integrate", lambda cfg, run_index: alone.append(
+            (cfg.noise_N, run_index)) or one(cfg, run_index=run_index))
+        xp.delay_study(blowup_cfg(**NOISY), [1, 0, 2], n_runs=2, workers=1)
+        assert batches == [([1, 2], 0), ([1, 2], 1), ([0], 0), ([0], 1)]
+        assert alone == [(0, 0), (0, 1)]
+        batches.clear()
+        alone.clear()
+        xp.ensemble_survival(dyn.with_noise_level(blowup_cfg(**NOISY), 2), 2, workers=1)
+        assert alone == [(2, 0), (2, 1)]
+
+    def test_delay_ensemble_study_independent_of_workers(self, monkeypatch):
+        # the benchmark's study (levels 0, 2, 4; two runs): one pool of 2 and no
+        # pool give the same blow-up times, so the batches do not depend on scheduling
+        cfg = dyn.SimConfig(d=2, M=4, s=1.0, beta=1.0, b=2.0, S=1e7, dt=1e-4, t_end=2.0,
+                            zeta="fisher", init={"mean": 2.0, "delta0": 2.0}, seed=4)
+        serial = xp.delay_study(cfg, [0, 2, 4], n_runs=2, workers=1)
+        monkeypatch.setattr(xp, "resolve_workers", lambda workers: workers)  # a pool of 2
+        pooled = xp.delay_study(cfg, [0, 2, 4], n_runs=2, workers=2)
+        assert pooled.levels == serial.levels
+        assert [curve_fields(c) for c in pooled.curves] == [curve_fields(c) for c in serial.curves]
+        alone = [dyn.integrate(dyn.with_noise_level(cfg, N), k).blowup_time
+                 for N in (0, 2, 4) for k in range(2)]
+        assert [t for lv in serial.levels for t in lv.blowup_times] == alone
+
     def test_duplicate_levels_rejected_before_any_run(self, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("a trajectory ran")

@@ -34,6 +34,17 @@ class TestThetaSequence:
         large = nm.make_theta_cutoff(4, 2)
         assert np.array_equal(large.half_modes[: small.n_half], small.half_modes)
 
+    @pytest.mark.parametrize("d,N", [(2, 71), (3, 14), (3, 200)])
+    def test_radius_beyond_the_cap_refused(self, d, N):
+        # refused before the (2N+1)^d lattice points are enumerated
+        with pytest.raises(InvalidParameterError, match=f"{(2 * N + 1) ** d} lattice modes"):
+            nm.make_theta_cutoff(N, d)
+
+    @pytest.mark.parametrize("d,N", [(2, 16), (2, 70), (3, 12), (3, 13)])
+    def test_radius_at_the_cap_runs(self, d, N):
+        assert (2 * N + 1) ** d <= nm.MAX_NOISE_MODES
+        assert 2 * nm.make_theta_cutoff(N, d).n_half == (2 * N + 1) ** d - 1
+
     def test_symmetry_is_enforced(self):
         with pytest.raises(InvalidParameterError):
             nm.ThetaSequence.from_support(2, [(1, 0), (-1, 0)], [1.0, 2.0])

@@ -223,6 +223,29 @@ class TestGridTransforms:
             one.input[0] = values[i]
             assert np.array_equal(t._from_grid(one)[0], halves[i])
 
+    # M = 8: a from-grid GEMM over the rows of more channels rounds differently,
+    # so a member's GEMM must keep its one-member shape
+    @pytest.mark.parametrize("d,M,R", [(2, 4, 13), (2, 8, 25), (3, 8, 25)])
+    @pytest.mark.parametrize("C,grad", [(1, False), (2, True), (3, False)])
+    def test_plan_of_members_is_one_member_plans_bitwise(self, d, M, R, C, grad):
+        B, t = 3, sp.GridTransform(d, M, R)
+        rng = np.random.default_rng(82)
+        blocks = [[random_field(83 + 5 * b + c, d=d, M=M, mean=0.3).coeffs[M:] for c in range(C)]
+                  for b in range(B)]
+        many, one = t.plan(C, grad=grad, B=B), t.plan(C, grad=grad)
+        many.input[:] = np.reshape(blocks, many.input.shape)
+        grids = t._to_grid(many).copy()
+        for b in range(B):
+            one.input[:] = blocks[b]
+            assert np.array_equal(t._to_grid(one), grids[..., b * R:(b + 1) * R]), b
+        values = rng.standard_normal((B, C) + (R,) * d)
+        many, one = t.plan(C, from_grid=True, B=B), t.plan(C, from_grid=True)
+        many.input[:] = np.concatenate(list(values), axis=-1)
+        halves = t._from_grid(many).reshape((C, B) + many.output.shape[1:]).copy()
+        for b in range(B):
+            one.input[:] = values[b]
+            assert np.array_equal(t._from_grid(one), halves[:, b]), b
+
     @pytest.mark.parametrize("d,M", [(2, 4), (3, 3)])
     def test_hermitian_block_is_exact_conjugate_mirror(self, d, M):
         # a random half block: its k_0 = 0 plane is not Hermitian
