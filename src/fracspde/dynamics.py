@@ -8,13 +8,13 @@ Time stepping is the explicit Volterra-Euler recursion
 
     u_n = u_0 + sum_{k<n} w[n][k] * (drift(u_k) + transport(u_k, dW_k) / dt)
 
-with the rl_kernel_weights rows, one Brownian path per trajectory (the
-increments of step k are reused by every later n).  The transport velocity
-V_k depends on the increments of step k alone, not on u, so integrate draws
-the increments of the next K steps (each step from its own keyed stream)
-and turns them into point values of V in one pass; each step's grid pass
-then reads its own V from that block.  The history sum is kept
-by fractional.VolterraHistory: exact weights for the newest lags, a
+with w[n][k] = c_{n-k} of fractional.kernel_increments, one Brownian path
+per trajectory (the increments of step k are reused by every later n).  The
+transport velocity V_k depends on the increments of step k alone, not on u,
+so integrate draws the increments of the next K steps (each step from its
+own keyed stream) and turns them into point values of V in one pass; each
+step's grid pass then reads its own V from that block.  The history sum is
+kept by fractional.VolterraHistory: exact weights for the newest lags, a
 sum-of-exponentials fold of the tail, so a step costs O((window + K) P) and
 the memory does not grow with the step count.  At beta = 1 the weights are
 exactly dt and the recursion collapses to classical Euler-Maruyama, which is
@@ -428,6 +428,12 @@ class _Velocity(sp.GridTransform):
         self._to_grid(blk.plan)
 
 
+def _grid_size(M: int, N: int) -> int:
+    """R, the points per axis of the grid pass at M with noise radius N (see
+    GridPass)."""
+    return max(3 * M + 1, 2 * M + N + 1)
+
+
 class GridPass(sp.GridTransform):
     """Pi_M zeta(u) and the transport term V.grad u from one grid pass, for a
     stack of members.
@@ -450,46 +456,39 @@ class GridPass(sp.GridTransform):
     member, in plans whose GEMMs have the one-member shapes.  V does not
     depend on u, so velocity() builds it for a block of K steps, each
     member's into its columns of one stack, and a grid pass takes one step's
-    V of every member from it (vel).  Each pass has one layout, bound from the
-    zeta kind, whether the noise is on and the member count: it does not
-    change with the cut-off values; keep() binds it anew when members
-    leave.  Multipliers of a block are stored complex: numpy takes buffers
-    for a cast.
+    V of every member from it (vel).  Each pass has one layout, fixed at
+    construction by the zeta kind and its members: it does not change with
+    the cut-off values, and members that leave a batch go on in a new pass.
+    Multipliers of a block are stored complex: numpy takes buffers for a
+    cast.
     """
 
     def __init__(self, d: int, M: int, zeta: str = "none", noise=None):
         """noise is None (the noise off, one member) or a list with the
-        (theta, basis, A) of each member's transport term."""
+        (theta, basis, A) of each member's transport term.  The work arrays
+        are those of these members: u [grad u] [c, grad c] of each member on
+        the grid, zeta and the transport back."""
         N = 0 if noise is None else max(int(np.max(np.abs(n[0].half_modes))) for n in noise)
-        super().__init__(d, M, max(3 * M + 1, 2 * M + N + 1))
+        super().__init__(d, M, _grid_size(M, N))
         # the mean mode and the multipliers on the half block
         self.zeta, self.center = zeta, (0,) + (M,) * (d - 1)
         self._mean = (slice(None),) + self.center  # the mean mode of each member
         self.ksq = sp._ksq_grid(d, M)[M:]
         self.lap = 4.0 * np.pi**2 * self.ksq
-        if zeta == "keller_segel":
+        ks, noise_on = zeta == "keller_segel", noise is not None
+        if ks:
             self.inv_lap = np.divide(1.0, self.lap, out=np.zeros_like(self.lap),
                                      where=self.ksq > 0.0).astype(np.complex128)
-        self.theta = None
-        self._vels = None if noise is None else [_Velocity(d, self.R, n) for n in noise]
-        self._bind(1 if noise is None else len(noise))
-
-    def keep(self, members):
-        """Go on with the members at these positions only (the others left)."""
-        self._vels = [self._vels[b] for b in members]
-        self._bind(len(members))
-
-    def _bind(self, B: int):
-        """The layout and the work arrays of B members: u [grad u] [c, grad c]
-        of each member on the grid, zeta and the transport back."""
-        d, ks, noise_on = self.d, self.zeta == "keller_segel", self._vels is not None
-        if noise_on:  # the largest noise: the support of the batch's draw
+        B, self.theta = 1, None
+        if noise_on:
+            B, self._vels = len(noise), [_Velocity(d, self.R, n) for n in noise]
+            # the largest noise: the support of the batch's draw
             self.theta = max((v.theta for v in self._vels), key=lambda t: t.n_half)
             self._vel_steps = {}  # the members' V of each step of a block, by K
         # zeta - u of Fisher, the drift sum, the grid product temporary
         self._blk, self._drift = np.empty((2, B) + self.ksq.shape, np.complex128)
         self._tmp = np.empty((self.R,) * (d - 1) + (B * self.R,))
-        n_back = (self.zeta != "none") + noise_on
+        n_back = (zeta != "none") + noise_on
         self._lay = None  # nothing to compute on the grid
         if n_back:
             C, grad = 1 + ks, ks or noise_on
@@ -605,10 +604,6 @@ class _Engine(GridPass):
         w[1:] *= 2.0
         self.norm_w = np.repeat(w.reshape(-1, 3), 2, axis=0)
 
-    def keep(self, members):
-        super().keep(members)
-        self.lin_mult = self.lin_mult[:len(members)]  # its rows are all alike
-
     def drift_block(self, blocks: np.ndarray, lvals: list, vel=None):
         """(drift, transport or None) of the members' half blocks (B, M+1, n, ...)
         at their cut-off values lvals (a list), for this step's vel (see
@@ -642,7 +637,7 @@ def batch_key(cfg: SimConfig):
     runs alone: the noise off."""
     if cfg.noise_N == 0:
         return None
-    return replace(cfg, noise_N=0).config_hash(), max(3 * cfg.M + 1, 2 * cfg.M + cfg.noise_N + 1)
+    return replace(cfg, noise_N=0).config_hash(), _grid_size(cfg.M, cfg.noise_N)
 
 
 def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
@@ -686,7 +681,6 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
                 f"snapshots, more than the {have} bytes of physical memory"
             )
     classical = cfg.beta == 1.0
-    eng = _Engine(*cfgs)
     u0_field = build_initial_field(cfg, initial_rng(cfg.seed, run_index))
     if math.sqrt(float(np.sum(np.abs(u0_field.coeffs) ** 2))) >= cfg.blowup_threshold:
         raise InvalidParameterError("initial field norm must lie below blowup_threshold")
@@ -697,8 +691,6 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
     if not classical:
         c_hist = kernel_increments(cfg.beta, dt, steps)
     u = np.empty((B,) + u0.shape, np.complex128)  # the members' blocks, updated in place
-    norm_w = eng.norm_w
-    at_mean = 2 * int(np.ravel_multi_index(eng.center, u0.shape))
     # per member: time, l2, hs, hneg_gamma, mean and cutoff of each recorded step, by
     # row, so that the record's arrays are views of their first n_rec entries
     runs = [SimpleNamespace(cfg=c, table=np.empty((6, steps + 1)), snapshots=[], n_rec=steps + 1,
@@ -706,18 +698,21 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
             for c in cfgs]
 
     def stack(u, live):
-        """Views of the stack u of the live runs that stay valid while it is
-        updated in place: the interleaved floats x, x*x and the norms (each
-        member's a gemv, as for one member), x at the mean; each run's block."""
+        """The engine of the live runs, and views of their stack u that stay
+        valid while it is updated in place: the interleaved floats x, x*x and
+        the norms (each member's a gemv, as for one member), x at the mean;
+        each run's block."""
+        eng = _Engine(*(run.cfg for run in live))
         x = u.reshape(len(u), -1).view(np.float64)
         xsq, nrm = np.empty_like(x), np.empty((len(u), 3))
         for run, blk in zip(live, u):
             run.u, run.flat = blk, blk.reshape(-1)
-        return x, xsq, xsq[:, None], nrm, nrm[:, None], x[:, at_mean]
+        at_mean = 2 * int(np.ravel_multi_index(eng.center, u0.shape))
+        return eng, x, xsq, xsq[:, None], nrm, nrm[:, None], x[:, at_mean]
 
     live = runs
     u[:] = u0
-    x, xsq, xsq_rows, nrm, nrm_rows, means = stack(u, live)
+    eng, x, xsq, xsq_rows, nrm, nrm_rows, means = stack(u, live)
 
     noise_on = eng.theta is not None
     if noise_on:
@@ -733,7 +728,7 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
     for n in range(steps + 1):
         t_n = n * dt
         np.multiply(x, x, out=xsq)
-        np.matmul(xsq_rows, norm_w, out=nrm_rows)
+        np.matmul(xsq_rows, eng.norm_w, out=nrm_rows)
         lvals = []
         for run, (l2sq, hs_sq, hneg_sq), mean in zip(live, nrm.tolist(), means):
             l2_n = math.sqrt(l2sq)
@@ -754,10 +749,11 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
             if not keep:
                 break
             live, u = [live[b] for b in keep], u[keep]
-            x, xsq, xsq_rows, nrm, nrm_rows, means = stack(u, live)
-            eng.keep(keep)  # two or more members: the noise is on
-            if k_next < len(vels):  # V of the block's steps left, of the members left
-                vels, k_next = eng.velocity(dw[k_next:]), 0
+            eng, x, xsq, xsq_rows, nrm, nrm_rows, means = stack(u, live)
+            # two or more members, so the noise is on: the block's V of the
+            # members left, from the same increments, if it has steps left
+            if k_next < len(vels):
+                vels = eng.velocity(dw)
         if n == steps:
             break
 

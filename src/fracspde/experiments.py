@@ -332,7 +332,6 @@ def probe_hypothesis(
     exponents: Dict[str, float],
     n_samples: int,
     rng: np.random.Generator,
-    field_spec: Optional[dict] = None,
 ) -> HypothesisReport:
     """Sample random fields and measure the three growth-condition ratios.
 
@@ -351,14 +350,12 @@ def probe_hypothesis(
         )
     if n_samples < 1:
         raise InvalidParameterError("n_samples must be >= 1")
-    spec = dict(DEFAULT_FIELD_SPEC)
-    if field_spec:
-        spec.update(field_spec)
     need = {"a1", "a2", "g2", "a3", "g3", "eta"}
     missing = need - set(exponents)
     if missing:
         raise InvalidParameterError(f"missing exponent(s): {sorted(missing)}")
     zeta = dyn._ZETA_FUNCS[zeta_kind]
+    spec = DEFAULT_FIELD_SPEC
     d, M, decay = spec["d"], spec["M"], spec["decay"]
     m_lo, m_hi = spec["mean_range"]
     a_lo, a_hi = spec["amplitude_range"]

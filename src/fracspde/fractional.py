@@ -199,20 +199,6 @@ class VolterraHistory:
         return out.view(np.complex128)
 
 
-def rl_kernel_weights(beta: float, dt: float, n: int) -> np.ndarray:
-    """Weight row w[n][k], k = 0..n-1, of the fractional-integral quadrature.
-
-    Discretizes x(t_n) = x_0 + (1/Gamma(beta)) * int_0^{t_n} (t_n-tau)^(beta-1)
-    F(tau) dtau with F piecewise constant on the step intervals.  The weights
-    are positive, telescope to t_n^beta / Gamma(beta+1), and all equal dt at
-    beta = 1.
-    """
-    if n < 1:
-        raise InvalidParameterError(f"step index n must be >= 1, got {n}")
-    c = kernel_increments(beta, dt, n)
-    return c[1:][::-1].copy()
-
-
 @lru_cache(maxsize=64)
 def _ml_recip_gammas(alpha: float, gamma_par: float, n_terms: int, dps: int):
     """Cached 1/Gamma(alpha*k + gamma) table used by the series evaluator.
@@ -315,9 +301,9 @@ def solve_caputo_scalar_ode(
 ) -> ScalarTrajectory:
     """Explicit Volterra-Euler solve of D_t^beta x = rhs(x), x(0) = x0.
 
-    The iterate is x_n = x_0 + sum_{k<n} w[n][k] * rhs(x_k) with the
-    rl_kernel_weights row, summed by a VolterraHistory; at beta = 1 this is
-    exactly forward Euler.
+    The iterate is x_n = x_0 + sum_{k<n} w[n][k] * rhs(x_k) with
+    w[n][k] = c_{n-k} of kernel_increments, summed by a VolterraHistory; at
+    beta = 1 this is exactly forward Euler.
 
     Blow-up (threshold crossing or a non-finite iterate) ends the solve and
     is reported on the trajectory, not raised.

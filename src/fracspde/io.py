@@ -69,12 +69,6 @@ def parse_config(path) -> SimConfig:
     return parse_config_dict(raw)
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return format(float(x), ".17g")
-
-
 def _dump_json(obj, path: Path):
     def clean(v):
         if isinstance(v, dict):
@@ -124,7 +118,7 @@ def write_trajectory(record: TrajectoryRecord, cfg: SimConfig, out_dir) -> Dict[
     """trajectory.csv + summary.json + snapshots + manifest under the hash dir."""
     dest = run_directory(out_dir, record.config_hash)
     cols = [record.times, record.l2, record.hs, record.hneg_gamma, record.mean, record.cutoff]
-    # one %-format per row, as in write_survival ("%.17g" is _fmt's format)
+    # one %-format per row, as in write_survival
     row = "%d" + ",%.17g" * len(cols)
     rows = [row % r for r in zip(range(len(record.times)), *map(memoryview, cols))]
     traj_path = dest / "trajectory.csv"
@@ -165,8 +159,8 @@ def write_survival(
         if len(col) < len(grid):  # a curve shorter than the grid holds its last value
             col = np.append(col, np.full(len(grid) - len(col), col[-1]))
         cols.append(col)
-    # one %-format per row ("%.17g" is _fmt's format) keeps no per-cell strings
-    # alive; a memoryview yields each cell as a Python float, made as it is read
+    # one %-format per row keeps no per-cell strings alive; a memoryview yields
+    # each cell as a Python float, made as it is read
     row = ",".join(["%.17g"] * len(cols))
     path = dest / "survival.csv"
     path.write_text("\n".join([header, *[row % r for r in zip(*map(memoryview, cols))]]) + "\n")
@@ -231,10 +225,9 @@ def write_probe(report: HypothesisReport, out_dir, tag: str, base_seed: int) -> 
 def write_scalar_trajectory(traj: ScalarTrajectory, out_dir, tag: str) -> Dict[str, Path]:
     """Two-column CSV plus a one-line JSON blow-up summary."""
     dest = run_directory(out_dir, tag)
-    rows = ["time,value"]
-    rows += [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(traj.times, traj.values)]
+    rows = ["%.17g,%.17g" % r for r in zip(*map(memoryview, (traj.times, traj.values)))]
     csv_path = dest / "ode.csv"
-    csv_path.write_text("\n".join(rows) + "\n")
+    csv_path.write_text("\n".join(["time,value", *rows]) + "\n")
     summary_path = dest / "ode_summary.json"
     summary_path.write_text(
         json.dumps({"blew_up": traj.blew_up, "blowup_time": traj.blowup_time}) + "\n"

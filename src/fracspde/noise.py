@@ -194,16 +194,13 @@ def isotropy_matrix(theta: ThetaSequence, basis: NoiseBasis) -> np.ndarray:
     return 2.0 * half
 
 
-def amplitude_A(b: float, theta: ThetaSequence, d: int | None = None) -> float:
+def amplitude_A(b: float, theta: ThetaSequence) -> float:
     """Noise amplitude A = sqrt(d*b / ((d-1) ||theta||^2)).
 
     With this scaling the Stratonovich-to-Ito corrector of the transport
     noise is exactly b*Laplace.
     """
-    if d is None:
-        d = theta.d
-    if d != theta.d:
-        raise InvalidParameterError(f"dimension {d} does not match theta (d={theta.d})")
+    d = theta.d
     if b < 0.0:
         raise InvalidParameterError(f"corrector strength b must be >= 0, got {b}")
     l2sq = theta.l2_norm**2

@@ -205,7 +205,8 @@ class TestWriteOutputs:
         paths = io_mod.write_scalar_trajectory(traj, tmp_path, "odetest")
         lines = paths["csv"].read_text().splitlines()
         assert lines[0] == "time,value"
-        assert len(lines) == len(traj.times) + 1
+        assert lines[1:] == [f"{format(t, '.17g')},{format(v, '.17g')}"
+                             for t, v in zip(traj.times, traj.values)]
         summary = json.loads(paths["summary"].read_text())
         assert summary == {"blew_up": False, "blowup_time": None}
 

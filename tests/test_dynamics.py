@@ -360,6 +360,10 @@ DELAY = dict(b=2.0, S=1e7, dt=1e-4, t_end=2.0, zeta="fisher", blowup_threshold=1
 # fluctuation-led blow-up: the members leave the stack far apart, or not at all
 STAGGERED = dict(b=2.0, S=1e7, dt=1e-4, t_end=0.6, zeta="fisher", seed=2026,
                  init={"mean": 0.9, "delta0": 400.0})
+# the largest noise leaves first, in the middle of a velocity block (K = 6 at
+# M = 8): the members left go on with a smaller theta
+LARGEST_FIRST = dict(M=8, beta=0.9, b=2.0, S=10.0, dt=1e-5, t_end=0.002, zeta="fisher", seed=3,
+                     init={"mean": 0.5, "delta0": 0.01})
 
 
 class TestBatch:
@@ -380,8 +384,10 @@ class TestBatch:
         # d=3, M=8 Keller-Segel: the from-grid GEMM of one member over its rows
         (dict(d=3, M=8, b=1.0, S=10.0, dt=5e-5, t_end=6e-4, zeta="keller_segel", seed=5,
               init={"mean": 1.0, "delta0": 0.05}, snapshot_stride=4), (2, 4), 1),
+        # N = 2 leaves at step 164, N = 1 at step 170
+        (LARGEST_FIRST, (2, 1), 3),
     ], ids=["delay-s1-r0", "delay-s1-r1", "delay-s2-r0", "delay-s2-r1", "beta0.9",
-            "staggered", "one-survives", "non-finite", "d3-keller-segel"])
+            "staggered", "one-survives", "non-finite", "d3-keller-segel", "largest-first"])
     def test_members_equal_their_own_runs(self, kw, Ns, run):
         cfgs = [make_cfg(noise_N=N, **kw) for N in Ns]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -394,6 +400,8 @@ class TestBatch:
         if kw is STAGGERED:
             times = [rec.blowup_time for rec in batch]
             assert times[1] < times[2] and (times[0] is None or times[2] < times[0])
+        if kw is LARGEST_FIRST:
+            assert [len(rec.times) - 1 for rec in batch] == [164, 170]
 
     @pytest.mark.parametrize("d,Ns", [(2, (1, 2, 4)), (3, (1, 2, 3))])
     def test_prefix_draws_equal_own_draws(self, d, Ns):
@@ -414,22 +422,6 @@ class TestBatch:
                             lambda th, dt, gen: drawn.append(th.n_half) or sample(th, dt, gen))
         dyn.integrate_batch(cfgs)
         assert drawn == [nm.make_theta_cutoff(4, 2).n_half] * cfgs[0].n_steps
-
-    def test_kept_members_match_a_fresh_engine(self):
-        # the largest member leaves: theta, the layout and V follow the members left
-        cfgs = [make_cfg(M=4, b=1.0, noise_N=N, zeta="fisher") for N in (4, 2, 3)]
-        eng = dyn._Engine(*cfgs)
-        rng = np.random.default_rng(20)
-        u = np.array([_half(sp.random_field(rng, 2, 4, 1.0, 1.0, mean=0.6)) for _ in cfgs])
-        dw = np.array([nm.sample_increments(eng.theta, 0.01, rng).values for _ in range(3)])
-        eng.drift_block(u, [1.0] * 3, eng.velocity(dw)[0])
-        eng.keep([1, 2])
-        fresh = dyn._Engine(cfgs[1], cfgs[2])
-        assert eng.theta.n_half == fresh.theta.n_half == nm.make_theta_cutoff(3, 2).n_half
-        for vel, want in zip(eng.velocity(dw), fresh.velocity(dw)):
-            got = [a.copy() for a in eng.drift_block(u[1:], [1.0, 0.5], vel)]
-            for a, b in zip(got, fresh.drift_block(u[1:], [1.0, 0.5], want)):
-                assert np.array_equal(a, b)
 
     def test_refuses_configs_that_differ_in_more_than_the_noise(self):
         cfg = make_cfg(M=4, b=1.0, noise_N=2)

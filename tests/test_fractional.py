@@ -15,7 +15,6 @@ from fracspde.fractional import (
     VolterraHistory,
     kernel_increments,
     mittag_leffler,
-    rl_kernel_weights,
     solve_caputo_scalar_ode,
 )
 
@@ -23,19 +22,21 @@ from _reference import comparison_oracle
 
 
 class TestKernelWeights:
+    """The weights c_1..c_n of kernel_increments (lag 0 never contributes)."""
+
     def test_classical_limit_is_dt(self):
-        w = rl_kernel_weights(1.0, 0.1, 3)
+        w = kernel_increments(1.0, 0.1, 3)[1:]
         assert np.array_equal(w, [0.1, 0.1, 0.1])
 
     def test_half_order_first_weight(self):
         # (1^0.5 - 0) / Gamma(1.5) = 2/sqrt(pi)
-        w = rl_kernel_weights(0.5, 1.0, 1)
+        w = kernel_increments(0.5, 1.0, 1)[1:]
         assert w.shape == (1,)
         assert w[0] == pytest.approx(2.0 / math.sqrt(math.pi), abs=1e-12)
 
     def test_telescoping_sum(self):
         beta, dt, n = 0.75, 0.01, 2
-        w = rl_kernel_weights(beta, dt, n)
+        w = kernel_increments(beta, dt, n)[1:]
         total = (n * dt) ** beta / math.gamma(beta + 1.0)
         assert w.sum() == pytest.approx(total, rel=1e-12)
 
@@ -46,25 +47,24 @@ class TestKernelWeights:
     )
     @settings(max_examples=80, deadline=None)
     def test_positivity_and_telescoping(self, beta, dt, n):
-        w = rl_kernel_weights(beta, dt, n)
+        w = kernel_increments(beta, dt, n)[1:]
         assert np.all(w > 0.0)
         total = (n * dt) ** beta / math.gamma(beta + 1.0)
         assert w.sum() == pytest.approx(total, rel=1e-12)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidParameterError):
-            rl_kernel_weights(0.0, 0.1, 1)
+            kernel_increments(0.0, 0.1, 1)
         with pytest.raises(InvalidParameterError):
-            rl_kernel_weights(1.2, 0.1, 1)
+            kernel_increments(1.2, 0.1, 1)
         with pytest.raises(InvalidParameterError):
-            rl_kernel_weights(0.5, -0.1, 1)
+            kernel_increments(0.5, -0.1, 1)
         with pytest.raises(InvalidParameterError):
-            rl_kernel_weights(0.5, 0.1, 0)
+            kernel_increments(0.5, 0.1, -1)
 
     def test_increments_lag_zero_unused(self):
         c = kernel_increments(0.7, 0.1, 4)
         assert c[0] == 0.0
-        assert np.array_equal(rl_kernel_weights(0.7, 0.1, 4), c[1:][::-1])
 
 
 class TestVolterraHistory:
