@@ -30,6 +30,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from types import SimpleNamespace
@@ -51,6 +52,12 @@ MAX_STEPS = 100_000
 #: bytes of V's point values that one velocity pass of integrate fills: a block
 #: of K = B // (8 d R^d) steps (24 at d=2, M=4; 6 at d=2, M=8; 1 at d=3, M=8)
 VELOCITY_BLOCK_BYTES = 1 << 16
+
+#: bytes of one member's to-grid grids above which configs run alone, not as a
+#: batch (batch_key): a batch of two members then costs more than the two alone,
+#: their grids overflowing a core's 2 MB L2 cache.  At d=3 a batch of N = 2, 4
+#: pays at M = 4 (70 kB Fisher, 141 kB Keller-Segel) and not from M = 6 (219 kB)
+BATCH_GRID_BYTES = 192 << 10
 
 DEFAULT_GAMMA = 0.1
 DEFAULT_BLOWUP_THRESHOLD = 1.0e6
@@ -102,6 +109,21 @@ def _keyed_generator(key_lo: int, key_hi: int) -> np.random.Generator:
     bg = np.random.Philox(key=0)
     bg.state = _philox_state(key_lo, key_hi)
     return np.random.Generator(bg)
+
+
+def _keyed_increments(philox: dict, gen: np.random.Generator, n: int, out: np.ndarray,
+                      dt: float) -> np.ndarray:
+    """The Brownian increments of steps n, n+1, ... of one run, drawn into the
+    rows of out (K, n_half, d-1, 2), as their complex view (K, n_half, d-1).
+    philox is the run's step_rng state; with its step word set per row, row k
+    is bitwise noise.sample_increments(theta, dt, step_rng(seed, run, n + k))."""
+    key, bg = philox["state"]["key"], gen.bit_generator
+    for k, row in enumerate(out):
+        key[1] = n + k
+        bg.state = philox
+        gen.standard_normal(out=row)
+    out *= np.sqrt(dt)
+    return out.view(np.complex128)[..., 0]
 
 
 def initial_rng(base_seed: int, run_index: int) -> np.random.Generator:
@@ -584,7 +606,7 @@ def _noise_support(N: int, d: int):
 class _Engine(GridPass):
     """Linear multipliers, norm weights and the grid pass of the configs of a
     batch, on the half block: cfg, and others that differ from it in noise_N
-    only (see batch_key)."""
+    only (see _stack_key)."""
 
     def __init__(self, cfg: SimConfig, *others: SimConfig):
         noise = None
@@ -631,13 +653,23 @@ class _Engine(GridPass):
         return out, transport
 
 
-def batch_key(cfg: SimConfig):
-    """The configs that share a key run as one batch (integrate_batch): the
-    noise on, equal but for noise_N, and on one grid.  None for a config that
-    runs alone: the noise off."""
+def _stack_key(cfg: SimConfig):
+    """Configs with one key can step as one stack (integrate_batch): the noise
+    on, equal but for noise_N, and on one grid.  None with the noise off."""
     if cfg.noise_N == 0:
         return None
     return replace(cfg, noise_N=0).config_hash(), _grid_size(cfg.M, cfg.noise_N)
+
+
+def batch_key(cfg: SimConfig):
+    """The configs that share a key run as one batch (integrate_batch).  None
+    for a config that runs alone: the noise off, or one member's to-grid grids
+    (8 C (1 + d) R^d bytes, C = 2 for Keller-Segel) above BATCH_GRID_BYTES."""
+    key = _stack_key(cfg)
+    if key is None:
+        return None
+    grid_bytes = 8 * (1 + (cfg.zeta == "keller_segel")) * (1 + cfg.d) * key[1] ** cfg.d
+    return key if grid_bytes <= BATCH_GRID_BYTES else None
 
 
 def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
@@ -657,17 +689,18 @@ def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
 def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[TrajectoryRecord]:
     """Run trajectory run_index of each config of a batch, stepped as one stack.
 
-    The configs share a batch_key: they differ in noise_N only, so they share
+    The configs share a _stack_key: they differ in noise_N only, so they share
     the initial field, the linear multipliers, the norm weights and the keyed
     Philox stream of each step.  One draw per step at the largest N gives
-    each member its own increments as a prefix (noise.sample_increments),
+    each member its own increments as a prefix (the draw order of
+    noise.sample_increments; see _keyed_increments),
     each member turns them into V through its own velocity pass, and one
     grid pass runs over the stacked members.  A member that blows up leaves
     the stack with its record, and the rest go on.  Every GEMM of a member
     has its one-member shape, so each record is the one integrate gives.
     """
     cfg, B = cfgs[0], len(cfgs)
-    if B > 1 and (batch_key(cfg) is None or len({batch_key(c) for c in cfgs}) > 1):
+    if B > 1 and (_stack_key(cfg) is None or len({_stack_key(c) for c in cfgs}) > 1):
         raise InvalidParameterError(
             "a batch needs configs with the noise on that differ in noise_N only, on one grid")
     steps = cfg.n_steps
@@ -687,48 +720,51 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
     u0 = u0_field.coeffs[cfg.M:].copy()  # the half block k_0 = 0..M
     u0_flat = u0.reshape(-1)
 
-    dt = cfg.dt
+    dt, S, threshold = cfg.dt, cfg.S, cfg.blowup_threshold
     if not classical:
         c_hist = kernel_increments(cfg.beta, dt, steps)
     u = np.empty((B,) + u0.shape, np.complex128)  # the members' blocks, updated in place
-    # per member: time, l2, hs, hneg_gamma, mean and cutoff of each recorded step, by
-    # row, so that the record's arrays are views of their first n_rec entries
-    runs = [SimpleNamespace(cfg=c, table=np.empty((6, steps + 1)), snapshots=[], n_rec=steps + 1,
-                            blowup_time=None, hist=None if classical else VolterraHistory(c_hist, u0.size))
+    # per member: the time, l2, hs, hneg_gamma, mean and cutoff of each recorded step,
+    # a row of floats packed into a flat buffer (no numpy call per step); the
+    # record's arrays are built from its first n_rec rows when the run ends
+    runs = [SimpleNamespace(cfg=c, rows=memoryview(np.empty((steps + 1, 6))), snapshots=[],
+                            n_rec=steps + 1, blowup_time=None,
+                            hist=None if classical else VolterraHistory(c_hist, u0.size))
             for c in cfgs]
+    put_row = struct.Struct("6d").pack_into
 
     def stack(u, live):
         """The engine of the live runs, and views of their stack u that stay
-        valid while it is updated in place: the interleaved floats x, x*x and
-        the norms (each member's a gemv, as for one member), x at the mean;
-        each run's block."""
+        valid while it is updated in place: the interleaved floats x, x*x, the
+        call that puts their norms in nrm (each member's a gemv, as for one
+        member), x at the mean; each run's block."""
         eng = _Engine(*(run.cfg for run in live))
         x = u.reshape(len(u), -1).view(np.float64)
         xsq, nrm = np.empty_like(x), np.empty((len(u), 3))
         for run, blk in zip(live, u):
             run.u, run.flat = blk, blk.reshape(-1)
         at_mean = 2 * int(np.ravel_multi_index(eng.center, u0.shape))
-        return eng, x, xsq, xsq[:, None], nrm, nrm[:, None], x[:, at_mean]
+        return eng, x, xsq, sp._gemm(xsq[:, None], eng.norm_w, nrm[:, None]), nrm, x[:, at_mean]
 
     live = runs
     u[:] = u0
-    eng, x, xsq, xsq_rows, nrm, nrm_rows, means = stack(u, live)
+    eng, x, xsq, (norms, norm_args), nrm, means = stack(u, live)
 
     noise_on = eng.theta is not None
     if noise_on:
         # one Philox per batch, rekeyed per step: same streams as step_rng()
         philox = _philox_state(mix_seed(cfg.seed, run_index, _TAG_NOISE), 0)
-        step_key = philox["state"]["key"]
-        bg = np.random.Philox(key=0)
-        gen = np.random.Generator(bg)
-        # V of the next K steps at once: K rows of point values fit VELOCITY_BLOCK_BYTES
+        gen = np.random.Generator(np.random.Philox(key=0))
+        # V of the next K steps at once: K rows of point values fit VELOCITY_BLOCK_BYTES;
+        # their increments are drawn into one buffer, at the largest live noise
         k_max = max(1, VELOCITY_BLOCK_BYTES // (8 * cfg.d * eng.R**cfg.d))
+        draws = np.empty((k_max, eng.theta.n_half, cfg.d - 1, 2))
         vels, k_next = [], 0
 
     for n in range(steps + 1):
         t_n = n * dt
         np.multiply(x, x, out=xsq)
-        np.matmul(xsq_rows, eng.norm_w, out=nrm_rows)
+        norms(*norm_args)
         lvals = []
         for run, (l2sq, hs_sq, hneg_sq), mean in zip(live, nrm.tolist(), means):
             l2_n = math.sqrt(l2sq)
@@ -736,11 +772,11 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
                 run.n_rec, run.blowup_time = n, t_n
                 continue
             hneg_n = math.sqrt(hneg_sq)
-            lval = cutoff_value(hneg_n, cfg.S)
-            run.table[:, n] = (t_n, l2_n, math.sqrt(hs_sq), hneg_n, mean, lval)
+            lval = 1.0 if hneg_n <= S else cutoff_value(hneg_n, S)
+            put_row(run.rows, 48 * n, t_n, l2_n, math.sqrt(hs_sq), hneg_n, mean, lval)
             if stride > 0 and n % stride == 0:
                 run.snapshots.append((n, sp.SpectralField(cfg.d, cfg.M, sp.hermitian_block(run.u))))
-            if l2_n > cfg.blowup_threshold:
+            if l2_n > threshold:
                 run.n_rec, run.blowup_time = n + 1, t_n
                 continue
             lvals.append(lval)
@@ -749,7 +785,7 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
             if not keep:
                 break
             live, u = [live[b] for b in keep], u[keep]
-            eng, x, xsq, xsq_rows, nrm, nrm_rows, means = stack(u, live)
+            eng, x, xsq, (norms, norm_args), nrm, means = stack(u, live)
             # two or more members, so the noise is on: the block's V of the
             # members left, from the same increments, if it has steps left
             if k_next < len(vels):
@@ -760,11 +796,8 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
         vel = None
         if noise_on:
             if k_next == len(vels):
-                dw = np.empty((min(k_max, steps - n), eng.theta.n_half, cfg.d - 1), np.complex128)
-                for k in range(len(dw)):
-                    step_key[1] = n + k
-                    bg.state = philox
-                    dw[k] = noise_mod.sample_increments(eng.theta, dt, gen).values
+                dw = _keyed_increments(philox, gen, n,
+                                       draws[:min(k_max, steps - n), :eng.theta.n_half], dt)
                 vels, k_next = eng.velocity(dw), 0
             vel = vels[k_next]
             k_next += 1
@@ -782,7 +815,7 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
 
     records = []
     for run in runs:
-        times, l2, hs, hneg, mean, cut = run.table[:, :run.n_rec]
+        times, l2, hs, hneg, mean, cut = np.asarray(run.rows)[:run.n_rec].T.copy()
         records.append(TrajectoryRecord(
             times=times,
             l2=l2,

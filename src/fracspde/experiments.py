@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -131,6 +130,10 @@ def _run_ensembles(cfgs: List[dyn.SimConfig], n_runs: int,
     if w <= 1:
         results = [_run_batch(j) for j in jobs]
     else:
+        # imported here: it costs every process that imports this module
+        # (io does) 10-15 ms, and a serial run never needs it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=w) as pool:
             results = list(pool.map(_run_batch, jobs, chunksize=max(1, len(jobs) // (4 * w))))
     runs = [[None] * n_runs for _ in cfgs]

@@ -193,9 +193,10 @@ class VolterraHistory:
         self._buf[self._start + self._len] = np.ravel(g)
         self._len += 1
         W = self._len
-        out = self._rev[len(self._rev) - W :] @ self._fbuf[self._start : self._start + W]
+        # np.dot, not @: the same gemv without matmul's loop set-up
+        out = np.dot(self._rev[len(self._rev) - W :], self._fbuf[self._start : self._start + W])
         if self._folded:
-            out += self._read[W - n0 - 1] @ self._modes
+            out += np.dot(self._read[W - n0 - 1], self._modes)
         return out.view(np.complex128)
 
 

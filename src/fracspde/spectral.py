@@ -9,6 +9,7 @@ the integrator) for dealiased pseudospectral products live here.
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
@@ -266,6 +267,18 @@ def _real_rows(A: np.ndarray) -> np.ndarray:
     return np.stack([A.real.T, -A.imag.T], axis=1).reshape(-1, len(A))
 
 
+def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray):
+    """The call (op, args) of out = a @ b, chosen once where a plan binds it:
+    np.dot on the 2-D views when no operand stacks more than one matrix and
+    the output's is C-contiguous (the only out np.dot writes), which skips
+    np.matmul's loop set-up (about a microsecond a call), else np.matmul."""
+    if all(math.prod(x.shape[:-2]) == 1 for x in (a, b, out)):
+        a2, b2, o2 = (x[(0,) * (x.ndim - 2)] for x in (a, b, out))
+        if o2.flags.c_contiguous:
+            return np.dot, (a2, b2, o2)
+    return np.matmul, (a, b, out)
+
+
 #: one transform direction for C stacked channels with its arrays bound: a run
 #: writes `input`, makes the calls op(*args) of `ops` in order, reads `output`
 TransformPlan = namedtuple("TransformPlan", "input ops output")
@@ -345,11 +358,10 @@ class GridTransform:
             g, shape = x.shape[1], (R,) + shape[:-1]
             a, y = x.reshape(B * C, g, -1, n), np.empty((B * C, g + grad) + shape, np.complex128)
             rows = a.shape[2]
-            ops.append((np.matmul, (self._E_dE if grad else self._E, a[:, 0].mT,
-                                    y[:, :1 + grad].reshape(B * C, -1, rows))))
+            ops.append(_gemm(self._E_dE if grad else self._E, a[:, 0].mT,
+                             y[:, :1 + grad].reshape(B * C, -1, rows)))
             if g > 1:
-                ops.append((np.matmul, (self._E, a[:, 1:].mT,
-                                        y[:, 2:].reshape(B * C, g - 1, R, rows))))
+                ops.append(_gemm(self._E, a[:, 1:].mT, y[:, 2:].reshape(B * C, g - 1, R, rows)))
             x = y
         # the half axis, now last: a real matmul on the interleaved float view
         g = x.shape[1]
@@ -359,13 +371,12 @@ class GridTransform:
         # member b's (C, g + grad) grids of R^(d-1) rows, the rows B R apart
         o = out.reshape(C, g + grad, R ** (d - 1), B, R).transpose(3, 0, 1, 2, 4)
         if grad:
-            ops.append((np.matmul, (a[:, :, :1], self._E_half, o[:, :, :2])))
+            ops.append(_gemm(a[:, :, :1], self._E_half, o[:, :, :2]))
             if g > 1:
-                ops.append((np.matmul, (a[:, :, 1:].reshape(B, C, -1, 2 * M + 2),
-                                        self._E_half[0], o[:, :, 2:].reshape(B, C, -1, R))))
+                ops.append(_gemm(a[:, :, 1:].reshape(B, C, -1, 2 * M + 2), self._E_half[0],
+                                 o[:, :, 2:].reshape(B, C, -1, R)))
         else:  # one GEMM per member over the rows of its channels
-            ops.append((np.matmul, (a.reshape(B, -1, 2 * M + 2), self._E_half[0],
-                                    o.reshape(B, -1, R))))
+            ops.append(_gemm(a.reshape(B, -1, 2 * M + 2), self._E_half[0], o.reshape(B, -1, R)))
         return TransformPlan(stack, tuple(ops), out)
 
     def _from_plan(self, C: int, B: int) -> TransformPlan:
@@ -373,13 +384,13 @@ class GridTransform:
         grids = np.zeros((C,) + (R,) * (d - 1) + (B * R,))
         x = np.empty((B, C) + (R,) * (d - 1) + (M + 1,), np.complex128)
         # one GEMM per member over the rows of its channels, the rows B R apart
-        ops = [(np.matmul, (grids.reshape(C * R ** (d - 1), B, R).swapaxes(0, 1), self._F_half,
-                            x.reshape(B, -1, M + 1).view(np.float64)))]
+        ops = [_gemm(grids.reshape(C * R ** (d - 1), B, R).swapaxes(0, 1), self._F_half,
+                     x.reshape(B, -1, M + 1).view(np.float64))]
         for i in range(d - 1):  # contract the first grid axis, write it last
             y = np.empty((C, B) + x.shape[3:] + (n,), np.complex128)
             out = y.swapaxes(0, 1) if i == 0 else y  # the first pass writes channel-major
-            ops.append((np.matmul, (x.reshape(x.shape[:2] + (R, -1)).mT, self._FT,
-                                    out.reshape(out.shape[:2] + (-1, n)))))
+            ops.append(_gemm(x.reshape(x.shape[:2] + (R, -1)).mT, self._FT,
+                             out.reshape(out.shape[:2] + (-1, n))))
             x = y
         return TransformPlan(grids, tuple(ops), x.reshape((C * B,) + x.shape[2:]))
 

@@ -1,5 +1,11 @@
+import concurrent.futures
 import json
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,7 +105,7 @@ def curve_fields(c):
             c.times.tolist(), c.fraction.tolist())
 
 
-class CountingPool(xp.ProcessPoolExecutor):
+class CountingPool(ProcessPoolExecutor):
     started = 0
 
     def __init__(self, *args, **kwargs):
@@ -136,7 +142,8 @@ class TestDelayStudy:
 
     def test_one_pool_per_study(self, monkeypatch):
         # level 0 is not requested, so its reference runs join the same job list
-        monkeypatch.setattr(xp, "ProcessPoolExecutor", CountingPool)
+        # experiments imports the pool class where it starts a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         monkeypatch.setattr(xp, "resolve_workers", lambda workers: 2)
         CountingPool.started = 0
         res = xp.delay_study(blowup_cfg(**NOISY), [1, 2], n_runs=2, workers=2)
@@ -159,6 +166,34 @@ class TestDelayStudy:
         alone.clear()
         xp.ensemble_survival(dyn.with_noise_level(blowup_cfg(**NOISY), 2), 2, workers=1)
         assert alone == [(2, 0), (2, 1)]
+
+    def test_large_d3_grids_run_alone(self, monkeypatch):
+        # at d=3, M=6 one member's to-grid grids (219 kB) exceed BATCH_GRID_BYTES,
+        # so levels 2 and 4 run alone; at d=3, M=4 (70 kB) and at d=2 they batch
+        batches = []
+        batch = xp.dyn.integrate_batch
+        monkeypatch.setattr(xp.dyn, "integrate_batch", lambda cfgs, k: batches.append(
+            ([c.noise_N for c in cfgs], k)) or batch(cfgs, k))
+        one_step = dict(NOISY, t_end=1e-5, dt=1e-5)
+        for d, M, want in [(3, 6, [([2], 0), ([4], 0), ([0], 0)]),
+                           (3, 4, [([2, 4], 0), ([0], 0)]), (2, 4, [([2, 4], 0), ([0], 0)])]:
+            batches.clear()
+            xp.delay_study(blowup_cfg(d=d, M=M, **one_step), [2, 4], n_runs=1, workers=1)
+            assert batches == want, (d, M)
+        cfg = blowup_cfg(d=3, M=6, noise_N=2, **one_step)
+        assert xp.dyn.batch_key(cfg) is None
+        assert 8 * (1 + 3) * 19**3 > xp.dyn.BATCH_GRID_BYTES > 8 * 2 * (1 + 3) * 13**3
+
+    def test_io_import_leaves_the_process_pool_unloaded(self):
+        # every `fracspde simulate` imports io, which imports experiments; only a
+        # pool of two or more workers needs concurrent.futures.process
+        src = str(Path(xp.__file__).resolve().parents[1])
+        code = "import sys, fracspde.io; print('concurrent.futures.process' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                                 [src, os.environ.get("PYTHONPATH", "")])})
+        assert out.stdout.strip() == "False"
 
     def test_delay_ensemble_study_independent_of_workers(self, monkeypatch):
         # the benchmark's study (levels 0, 2, 4; two runs): one pool of 2 and no
