@@ -53,12 +53,6 @@ MAX_STEPS = 100_000
 #: of K = B // (8 d R^d) steps (24 at d=2, M=4; 6 at d=2, M=8; 1 at d=3, M=8)
 VELOCITY_BLOCK_BYTES = 1 << 16
 
-#: bytes of one member's to-grid grids above which configs run alone, not as a
-#: batch (batch_key): a batch of two members then costs more than the two alone,
-#: their grids overflowing a core's 2 MB L2 cache.  At d=3 a batch of N = 2, 4
-#: pays at M = 4 (70 kB Fisher, 141 kB Keller-Segel) and not from M = 6 (219 kB)
-BATCH_GRID_BYTES = 192 << 10
-
 DEFAULT_GAMMA = 0.1
 DEFAULT_BLOWUP_THRESHOLD = 1.0e6
 
@@ -111,19 +105,15 @@ def _keyed_generator(key_lo: int, key_hi: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-def _keyed_increments(philox: dict, gen: np.random.Generator, n: int, out: np.ndarray,
-                      dt: float) -> np.ndarray:
-    """The Brownian increments of steps n, n+1, ... of one run, drawn into the
-    rows of out (K, n_half, d-1, 2), as their complex view (K, n_half, d-1).
-    philox is the run's step_rng state; with its step word set per row, row k
-    is bitwise noise.sample_increments(theta, dt, step_rng(seed, run, n + k))."""
+def _keyed_rngs(philox: dict, gen: np.random.Generator, n: int):
+    """gen keyed in turn as step_rng(seed, run, n), n + 1, ...: philox is the
+    run's step_rng state, its step word set before each."""
     key, bg = philox["state"]["key"], gen.bit_generator
-    for k, row in enumerate(out):
-        key[1] = n + k
+    while True:
+        key[1] = n
         bg.state = philox
-        gen.standard_normal(out=row)
-    out *= np.sqrt(dt)
-    return out.view(np.complex128)[..., 0]
+        yield gen
+        n += 1
 
 
 def initial_rng(base_seed: int, run_index: int) -> np.random.Generator:
@@ -606,7 +596,7 @@ def _noise_support(N: int, d: int):
 class _Engine(GridPass):
     """Linear multipliers, norm weights and the grid pass of the configs of a
     batch, on the half block: cfg, and others that differ from it in noise_N
-    only (see _stack_key)."""
+    only (see batch_key)."""
 
     def __init__(self, cfg: SimConfig, *others: SimConfig):
         noise = None
@@ -653,23 +643,13 @@ class _Engine(GridPass):
         return out, transport
 
 
-def _stack_key(cfg: SimConfig):
-    """Configs with one key can step as one stack (integrate_batch): the noise
-    on, equal but for noise_N, and on one grid.  None with the noise off."""
+def batch_key(cfg: SimConfig):
+    """The configs that share a key run as one batch (integrate_batch): the
+    noise on, equal but for noise_N, and on one grid.  None for a config that
+    runs alone: the noise off."""
     if cfg.noise_N == 0:
         return None
     return replace(cfg, noise_N=0).config_hash(), _grid_size(cfg.M, cfg.noise_N)
-
-
-def batch_key(cfg: SimConfig):
-    """The configs that share a key run as one batch (integrate_batch).  None
-    for a config that runs alone: the noise off, or one member's to-grid grids
-    (8 C (1 + d) R^d bytes, C = 2 for Keller-Segel) above BATCH_GRID_BYTES."""
-    key = _stack_key(cfg)
-    if key is None:
-        return None
-    grid_bytes = 8 * (1 + (cfg.zeta == "keller_segel")) * (1 + cfg.d) * key[1] ** cfg.d
-    return key if grid_bytes <= BATCH_GRID_BYTES else None
 
 
 def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
@@ -689,18 +669,17 @@ def integrate(cfg: SimConfig, run_index: int = 0) -> TrajectoryRecord:
 def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[TrajectoryRecord]:
     """Run trajectory run_index of each config of a batch, stepped as one stack.
 
-    The configs share a _stack_key: they differ in noise_N only, so they share
+    The configs share a batch_key: they differ in noise_N only, so they share
     the initial field, the linear multipliers, the norm weights and the keyed
     Philox stream of each step.  One draw per step at the largest N gives
-    each member its own increments as a prefix (the draw order of
-    noise.sample_increments; see _keyed_increments),
+    each member its own increments as a prefix (noise.draw_increments),
     each member turns them into V through its own velocity pass, and one
     grid pass runs over the stacked members.  A member that blows up leaves
     the stack with its record, and the rest go on.  Every GEMM of a member
     has its one-member shape, so each record is the one integrate gives.
     """
     cfg, B = cfgs[0], len(cfgs)
-    if B > 1 and (_stack_key(cfg) is None or len({_stack_key(c) for c in cfgs}) > 1):
+    if B > 1 and (batch_key(cfg) is None or len({batch_key(c) for c in cfgs}) > 1):
         raise InvalidParameterError(
             "a batch needs configs with the noise on that differ in noise_N only, on one grid")
     steps = cfg.n_steps
@@ -758,7 +737,7 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
         # V of the next K steps at once: K rows of point values fit VELOCITY_BLOCK_BYTES;
         # their increments are drawn into one buffer, at the largest live noise
         k_max = max(1, VELOCITY_BLOCK_BYTES // (8 * cfg.d * eng.R**cfg.d))
-        draws = np.empty((k_max, eng.theta.n_half, cfg.d - 1, 2))
+        draws = noise_mod.increment_buffer(eng.theta, k_max)
         vels, k_next = [], 0
 
     for n in range(steps + 1):
@@ -796,8 +775,8 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
         vel = None
         if noise_on:
             if k_next == len(vels):
-                dw = _keyed_increments(philox, gen, n,
-                                       draws[:min(k_max, steps - n), :eng.theta.n_half], dt)
+                dw = noise_mod.draw_increments(eng.theta, dt, _keyed_rngs(philox, gen, n),
+                                               draws[:min(k_max, steps - n)])
                 vels, k_next = eng.velocity(dw), 0
             vel = vels[k_next]
             k_next += 1

@@ -241,10 +241,26 @@ def sample_increments(
     """
     if dt <= 0.0:
         raise InvalidParameterError(f"dt must be positive, got {dt}")
-    draws = rng.standard_normal((theta.n_half, theta.d - 1, 2))
-    draws *= np.sqrt(dt)
-    return NoiseIncrements(dt=float(dt), half_modes=theta.half_modes,
-                           values=draws.view(np.complex128)[..., 0])
+    values = draw_increments(theta, dt, [rng], increment_buffer(theta, 1))[0]
+    return NoiseIncrements(dt=float(dt), half_modes=theta.half_modes, values=values)
+
+
+def increment_buffer(theta: ThetaSequence, K: int) -> np.ndarray:
+    """A float buffer for draw_increments of K steps at theta or a smaller cutoff."""
+    return np.empty((K, theta.n_half, theta.d - 1, 2))
+
+
+def draw_increments(theta: ThetaSequence, dt: float, rngs: Iterable[np.random.Generator],
+                    out: np.ndarray) -> np.ndarray:
+    """The increment values (K, n_half, d-1) of K = len(out) steps at theta,
+    drawn into the buffer out (see increment_buffer): step k's from the k-th
+    generator of rngs, in the order of sample_increments, so that a step's
+    values are sample_increments(theta, dt, rng).values for its generator."""
+    rows = out[:, :theta.n_half]
+    for row, rng in zip(rows, rngs):
+        rng.standard_normal(out=row)
+    rows *= np.sqrt(dt)
+    return rows.view(np.complex128)[..., 0]
 
 
 def transport_term(

@@ -267,12 +267,20 @@ def _real_rows(A: np.ndarray) -> np.ndarray:
     return np.stack([A.real.T, -A.imag.T], axis=1).reshape(-1, len(A))
 
 
+#: multiply-adds of a GEMM up to which _gemm calls np.dot: it saves about a
+#: microsecond a call on small blocks, and ran up to 13% slower than np.matmul
+#: from 45 000 on ((300, 6) @ (6, 25) at d=2, M=8; (1875, 10) @ (10, 25) at d=3)
+DOT_MAX_MADDS = 1 << 15
+
+
 def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray):
     """The call (op, args) of out = a @ b, chosen once where a plan binds it:
-    np.dot on the 2-D views when no operand stacks more than one matrix and
-    the output's is C-contiguous (the only out np.dot writes), which skips
-    np.matmul's loop set-up (about a microsecond a call), else np.matmul."""
-    if all(math.prod(x.shape[:-2]) == 1 for x in (a, b, out)):
+    np.dot on the 2-D views when no operand stacks more than one matrix, the
+    output's is C-contiguous (the only out np.dot writes) and the product has
+    at most DOT_MAX_MADDS multiply-adds, which skips np.matmul's loop set-up;
+    else np.matmul."""
+    if (math.prod(out.shape) * a.shape[-1] <= DOT_MAX_MADDS
+            and all(math.prod(x.shape[:-2]) == 1 for x in (a, b, out))):
         a2, b2, o2 = (x[(0,) * (x.ndim - 2)] for x in (a, b, out))
         if o2.flags.c_contiguous:
             return np.dot, (a2, b2, o2)

@@ -394,6 +394,11 @@ class TestBatch:
             batch = dyn.integrate_batch(cfgs, run)
             for cfg, rec in zip(cfgs, batch):
                 _same_record(rec, dyn.integrate(cfg, run))
+                # built once when the run ends, also for a member that left the stack early
+                for name in ("times", "l2", "hs", "hneg_gamma", "mean", "cutoff"):
+                    a = getattr(rec, name)
+                    assert a.dtype == np.float64 and a.flags.c_contiguous, name
+                    assert a.shape == rec.times.shape, name
                 # integrate is the same stepper: a record also ends at its own blow-up
                 assert np.all(rec.l2[:-1] <= cfg.blowup_threshold)
                 assert rec.blew_up or len(rec.times) == cfg.n_steps + 1
@@ -417,27 +422,11 @@ class TestBatch:
     def test_draws_once_per_step_at_the_largest_level(self, monkeypatch):
         cfgs = [make_cfg(M=4, b=1.0, noise_N=N, dt=1e-4, t_end=3e-3) for N in (4, 2)]
         drawn = []  # the modes drawn at each step, from the blocks of keyed draws
-        draw = dyn._keyed_increments
-        monkeypatch.setattr(dyn, "_keyed_increments", lambda *args: (
+        draw = nm.draw_increments
+        monkeypatch.setattr(nm, "draw_increments", lambda *args: (
             lambda dw: drawn.extend([dw.shape[1]] * len(dw)) or dw)(draw(*args)))
         dyn.integrate_batch(cfgs)
         assert drawn == [nm.make_theta_cutoff(4, 2).n_half] * cfgs[0].n_steps
-
-    @pytest.mark.parametrize("kw,Ns,left", [
-        (dict(DELAY, seed=1, t_end=0.3), (2, 4), False),
-        (STAGGERED, (3, 1, 2), True),
-        (dict(STAGGERED, S=1e300, blowup_threshold=1e300), (3,), True)],
-        ids=["runs-to-the-end", "staggered", "non-finite"])
-    def test_record_arrays_are_contiguous_float64(self, kw, Ns, left):
-        # built once when the run ends, also for members that left the stack early
-        with np.errstate(over="ignore", invalid="ignore"):
-            recs = dyn.integrate_batch([make_cfg(noise_N=N, **kw) for N in Ns])
-        for rec in recs:
-            for name in ("times", "l2", "hs", "hneg_gamma", "mean", "cutoff"):
-                a = getattr(rec, name)
-                assert a.dtype == np.float64 and a.flags.c_contiguous, name
-                assert a.shape == rec.times.shape, name
-        assert any(rec.blew_up for rec in recs) == left
 
     def test_refuses_configs_that_differ_in_more_than_the_noise(self):
         cfg = make_cfg(M=4, b=1.0, noise_N=2)
@@ -679,10 +668,11 @@ class TestNoiseSetup:
         # K = 83 at M = 2: the 200 steps cross two block boundaries and end on a short block
         cfg = make_cfg(M=2, b=1.0, noise_N=2, dt=1e-4, t_end=0.02, seed=13)
         drawn = []  # each step's increments, copied out of the block buffer
-        draw = dyn._keyed_increments
-        monkeypatch.setattr(dyn, "_keyed_increments", lambda *args: (
+        draw = nm.draw_increments
+        monkeypatch.setattr(nm, "draw_increments", lambda *args: (
             lambda dw: drawn.extend(dw.copy()) or dw)(draw(*args)))
         dyn.integrate(cfg, run_index=4)
+        monkeypatch.undo()  # sample_increments below draws through it too
         theta = nm.make_theta_cutoff(2, 2)
         assert len(drawn) == cfg.n_steps == 200
         for n, inc in enumerate(drawn):

@@ -167,23 +167,6 @@ class TestDelayStudy:
         xp.ensemble_survival(dyn.with_noise_level(blowup_cfg(**NOISY), 2), 2, workers=1)
         assert alone == [(2, 0), (2, 1)]
 
-    def test_large_d3_grids_run_alone(self, monkeypatch):
-        # at d=3, M=6 one member's to-grid grids (219 kB) exceed BATCH_GRID_BYTES,
-        # so levels 2 and 4 run alone; at d=3, M=4 (70 kB) and at d=2 they batch
-        batches = []
-        batch = xp.dyn.integrate_batch
-        monkeypatch.setattr(xp.dyn, "integrate_batch", lambda cfgs, k: batches.append(
-            ([c.noise_N for c in cfgs], k)) or batch(cfgs, k))
-        one_step = dict(NOISY, t_end=1e-5, dt=1e-5)
-        for d, M, want in [(3, 6, [([2], 0), ([4], 0), ([0], 0)]),
-                           (3, 4, [([2, 4], 0), ([0], 0)]), (2, 4, [([2, 4], 0), ([0], 0)])]:
-            batches.clear()
-            xp.delay_study(blowup_cfg(d=d, M=M, **one_step), [2, 4], n_runs=1, workers=1)
-            assert batches == want, (d, M)
-        cfg = blowup_cfg(d=3, M=6, noise_N=2, **one_step)
-        assert xp.dyn.batch_key(cfg) is None
-        assert 8 * (1 + 3) * 19**3 > xp.dyn.BATCH_GRID_BYTES > 8 * 2 * (1 + 3) * 13**3
-
     def test_io_import_leaves_the_process_pool_unloaded(self):
         # every `fracspde simulate` imports io, which imports experiments; only a
         # pool of two or more workers needs concurrent.futures.process
