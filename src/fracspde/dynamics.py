@@ -49,8 +49,8 @@ ZETA_KINDS = ("fisher", "keller_segel", "none")
 #: tail check grow with it.
 MAX_STEPS = 100_000
 
-#: bytes of V's point values that one velocity pass of integrate fills: a block
-#: of K = B // (8 d R^d) steps (24 at d=2, M=4; 6 at d=2, M=8; 1 at d=3, M=8)
+#: bytes of a member's V in an engine's block of K = max(1, B // (8 d R^d)) steps
+#: of point values (24 at d=2, M=4; 6 at d=2, M=8; 1 at d=3, M=8)
 VELOCITY_BLOCK_BYTES = 1 << 16
 
 DEFAULT_GAMMA = 0.1
@@ -373,22 +373,30 @@ class TrajectoryRecord:
 
 class _Velocity(sp.GridTransform):
     """Point values of one noise's velocity V = A sum theta_m dW^{m,j} q_{m,j}
-    e^{2 pi i m.x} on R points per axis, for a block of K steps in one pass.
+    e^{2 pi i m.x} on R points per axis, for up to K steps in one pass.
 
     V lives on ||m||_inf <= N, so it has its own transform, whose work arrays
     never alias those of the grid pass.  Its half is written from the modes
     with m_0 >= 0, in the rotated axis order of the plans.
     """
 
-    def __init__(self, d: int, R: int, noise):
-        """noise is the (theta, basis, A) of the transport term."""
+    def __init__(self, d: int, R: int, noise, K: int, out: np.ndarray):
+        """noise is the (theta, basis, A) of the transport term; the point
+        values of K steps go to out (K d, R, ..., R).
+
+        (V_m, V_{-m}) of step k sit in row k of pm (2, d, K, n_half), and q is
+        tiled K times and stored complex, so that each product is one call on
+        rows of one dtype: numpy takes buffers for a broadcast or a cast.  The
+        one-step index tables are moved to each step's rows and channels.
+        """
         self.theta, basis, A = noise
         half, nh = self.theta.half_modes, self.theta.n_half
         N = int(np.max(np.abs(half)))
         super().__init__(d, N, R)
+        self._plan = self.plan(K * d, out=out)
         # V_m[a] = sum_j q[j, a, m] dW^{m,j}
-        self._q = np.ascontiguousarray((A * self.theta.half_values) * basis.q.transpose(1, 2, 0))
-        self._blocks = {}  # by the number of steps K, built on first use
+        q = (A * self.theta.half_values) * basis.q.transpose(1, 2, 0)
+        q = np.tile(q, K).astype(np.complex128).reshape(d - 1, d, K, nh)
         # the modes m of V_m and -m of V_{-m} = conj(V_m) with a first component >= 0
         # (both of a pair with m_0 = 0): flat positions in one step's (V_m, V_{-m})
         # rows (2, d, n_half) and in its d channels of V's half input, which is zero
@@ -396,48 +404,35 @@ class _Velocity(sp.GridTransform):
         # of numpy's code, in every process, for a few hundred modes
         pos, neg = (np.array([i for i, m in enumerate(half.tolist()) if sign * m[0] >= 0],
                              np.int64) for sign in (1, -1))
-        comp = np.arange(d)[:, None]
-        self._src = np.concatenate([comp * nh + pos, (d + comp) * nh + neg], axis=1).ravel()
+        comp, k = np.arange(d)[:, None], np.arange(K)[:, None]
+        src = np.concatenate([comp * nh + pos, (d + comp) * nh + neg], axis=1).ravel()
         at = np.concatenate([half[pos], -half[neg]]) + N
         at[:, 0] -= N
         shape = (d, N + 1) + (2 * N + 1,) * (d - 1)
-        self._at = np.ravel_multi_index(np.broadcast_arrays(comp, *at.T), shape).ravel()
-
-    def bind_block(self, K: int, out: np.ndarray):
-        """Work arrays, index tables and the K*d-channel plan for K steps, whose
-        point values go to out (K d, R, ..., R).
-
-        (V_m, V_{-m}) of step k sit in row k of pm (2, d, K, n_half), and q is
-        tiled K times and stored complex, so that each product is one call on
-        rows of one dtype: numpy takes buffers for a broadcast or a cast.  The
-        one-step tables are moved to each step's rows and channels.  The plan
-        is this block's own, not a shared one of plan(): it writes into out.
-        """
-        d, nh, plan = self.d, self.theta.n_half, self._to_plan(K * self.d, False, 1, out)
-        k = np.arange(K)[:, None]
-        q = np.tile(self._q, K).astype(np.complex128).reshape(d - 1, d, K, nh)
-        src = ((self._src // nh * K + k) * nh + self._src % nh).ravel()
-        at = (k * plan.input[:d].size + self._at).ravel()
-        pm = np.empty((2, d, K, nh), np.complex128)
-        self._blocks[K] = SimpleNamespace(
-            rows=[list(zip(qj, *pm)) for qj in q], pm=tuple(pm), pm_flat=pm.reshape(-1),
-            src=src, at=at, kept=np.empty(len(src), np.complex128), flat=plan.input.reshape(-1),
-            plan=plan)
+        at = np.ravel_multi_index(np.broadcast_arrays(comp, *at.T), shape).ravel()
+        self._src = ((src // nh * K + k) * nh + src % nh).ravel()
+        self._at = (k * self._plan.input[:d].size + at).ravel()
+        pm = np.zeros((2, d, K, nh), np.complex128)
+        self._rows = [list(zip(qj, *pm)) for qj in q]
+        self._pm, self._pm_flat = tuple(pm), pm.reshape(-1)
+        self._kept = np.empty(len(self._src), np.complex128)
+        self._flat = self._plan.input.reshape(-1)
 
     def velocity(self, dw: np.ndarray):
-        """V of K steps, into the out of bind_block(K), from the first n_half
-        rows of each step of dw (K, n >= n_half, d-1)."""
-        nh = self.theta.n_half
-        blk = self._blocks[len(dw)]
-        for j, rows in enumerate(blk.rows):
+        """V of the first len(dw) <= K steps of out, from the first n_half
+        rows of each step of dw (len(dw), n >= n_half, d-1).  The row products
+        cover those steps; the scatter and the transform run over the block."""
+        k, nh = len(dw), self.theta.n_half
+        for j, rows in enumerate(self._rows):
             for q, v, tmp in rows:  # no view of dw outlives this: it would add to every peak
-                np.multiply(q, dw[:, :nh, j], out=tmp if j else v)
+                v, tmp = v[:k], tmp[:k]
+                np.multiply(q[:k], dw[:, :nh, j], out=tmp if j else v)
                 if j:
                     v += tmp
-        np.conjugate(*blk.pm)
-        blk.pm_flat.take(blk.src, 0, blk.kept, "clip")
-        blk.flat[blk.at] = blk.kept
-        self._to_grid(blk.plan)
+        np.conjugate(*self._pm)
+        self._pm_flat.take(self._src, 0, self._kept, "clip")
+        self._flat[self._at] = self._kept
+        self._to_grid(self._plan)
 
 
 def _grid_size(M: int, N: int) -> int:
@@ -466,13 +461,13 @@ class GridPass(sp.GridTransform):
     integrate_batch); each has its own _Velocity, and the pass runs over
     their stacked blocks (B, M+1, n, ...) with B times the channels of one
     member, in plans whose GEMMs have the one-member shapes.  V does not
-    depend on u, so velocity() builds it for a block of K steps, each
+    depend on u, so velocity() builds it for a block of up to K steps, each
     member's into its columns of one stack, and a grid pass takes one step's
-    V of every member from it (vel).  Each pass has one layout, fixed at
-    construction by the zeta kind and its members: it does not change with
-    the cut-off values, and members that leave a batch go on in a new pass.
-    Multipliers of a block are stored complex: numpy takes buffers for a
-    cast.
+    V of every member from it (vel).  Each pass has one layout, K included,
+    fixed at construction by the zeta kind and its members: it does not
+    change with the cut-off values, and members that leave a batch go on in
+    a new pass.  Multipliers of a block are stored complex: numpy takes
+    buffers for a cast.
     """
 
     def __init__(self, d: int, M: int, zeta: str = "none", noise=None):
@@ -491,15 +486,20 @@ class GridPass(sp.GridTransform):
         if ks:
             self.inv_lap = np.divide(1.0, self.lap, out=np.zeros_like(self.lap),
                                      where=self.ksq > 0.0).astype(np.complex128)
-        B, self.theta = 1, None
+        B, R, self.theta = 1, self.R, None
         if noise_on:
-            B, self._vels = len(noise), [_Velocity(d, self.R, n) for n in noise]
+            # the members' V of K steps (a member's fit VELOCITY_BLOCK_BYTES) in one
+            # stack (K, d, R, ..., R, B R), member b's velocity pass writing its columns
+            B, self.K = len(noise), max(1, VELOCITY_BLOCK_BYTES // (8 * d * R**d))
+            V = np.empty((self.K, d) + (R,) * (d - 1) + (B * R,))
+            self._vels = [_Velocity(d, R, n, self.K, V[..., b * R:(b + 1) * R].reshape(
+                (self.K * d,) + (R,) * d)) for b, n in enumerate(noise)]
+            self._steps = [tuple(V[k]) for k in range(self.K)]  # step k's (V_1, ..., V_d)
             # the largest noise: the support of the batch's draw
             self.theta = max((v.theta for v in self._vels), key=lambda t: t.n_half)
-            self._vel_steps = {}  # the members' V of each step of a block, by K
         # zeta - u of Fisher, the drift sum, the grid product temporary
         self._blk, self._drift = np.empty((2, B) + self.ksq.shape, np.complex128)
-        self._tmp = np.empty((self.R,) * (d - 1) + (B * self.R,))
+        self._tmp = np.empty((R,) * (d - 1) + (B * R,))
         n_back = (zeta != "none") + noise_on
         self._lay = None  # nothing to compute on the grid
         if n_back:
@@ -518,33 +518,21 @@ class GridPass(sp.GridTransform):
                 zero=zero,
                 # each member's columns of the temporary, for its mean of Keller-Segel:
                 # a broadcast would take numpy's buffers
-                tmp_m=[self._tmp[..., b * self.R:(b + 1) * self.R] for b in range(B)])
-
-    def _vel_block(self, K: int) -> list:
-        """The members' V of K steps in one stack (K, d, R, ..., R, B R), in the
-        grid layout of the plans, member b's velocity pass writing its columns:
-        entry k of the list is step k's (V_1, ..., V_d)."""
-        d, R = self.d, self.R
-        V = np.empty((K, d) + (R,) * (d - 1) + (len(self._vels) * R,))
-        for b, v in enumerate(self._vels):
-            v.bind_block(K, V[..., b * R:(b + 1) * R].reshape((K * d,) + (R,) * d))
-        steps = self._vel_steps[K] = [tuple(V[k]) for k in range(K)]
-        return steps
+                tmp_m=[self._tmp[..., b * R:(b + 1) * R] for b in range(B)])
 
     def velocity(self, dw: np.ndarray) -> list:
-        """Point values of V for the increments dw (K, n_half, d-1) of K steps.
+        """Point values of V for the increments dw (k <= K, n_half, d-1) of k steps.
 
         dw is drawn on theta, the largest member noise, and each member reads
         its own increments as the first rows of each step (see
-        noise.sample_increments).  One pass per member for the block: entry k
-        of the returned list is step k's (V_1, ..., V_d), each stacked over
-        the members (see plan), views of work arrays that the next call with K
-        steps overwrites.  One step's increments inc are the block inc[None].
+        noise.sample_increments).  One pass per member over the block: entry
+        i of the returned list is step i's (V_1, ..., V_d), each stacked over
+        the members (see plan), views of work arrays that the next call
+        overwrites.  One step's increments inc are the block inc[None].
         """
-        steps = self._vel_steps.get(len(dw)) or self._vel_block(len(dw))
         for v in self._vels:
             v.velocity(dw)
-        return steps
+        return self._steps[:len(dw)]
 
     def zeta_block(self, blocks: np.ndarray, vel=None):
         """The grid pass on the members' half blocks (B, M+1, n, ...):
@@ -734,10 +722,9 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
         # one Philox per batch, rekeyed per step: same streams as step_rng()
         philox = _philox_state(mix_seed(cfg.seed, run_index, _TAG_NOISE), 0)
         gen = np.random.Generator(np.random.Philox(key=0))
-        # V of the next K steps at once: K rows of point values fit VELOCITY_BLOCK_BYTES;
-        # their increments are drawn into one buffer, at the largest live noise
-        k_max = max(1, VELOCITY_BLOCK_BYTES // (8 * cfg.d * eng.R**cfg.d))
-        draws = noise_mod.increment_buffer(eng.theta, k_max)
+        # V of the next eng.K steps at once (every engine of a batch has one grid,
+        # so one K); their increments are drawn into one buffer, at the largest live noise
+        draws = noise_mod.increment_buffer(eng.theta, eng.K)
         vels, k_next = [], 0
 
     for n in range(steps + 1):
@@ -763,7 +750,8 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
             keep = [b for b, run in enumerate(live) if run.blowup_time is None]
             if not keep:
                 break
-            live, u = [live[b] for b in keep], u[keep]
+            # free the old engine first: alive with the new one, it grows the peak RSS
+            live, u, eng = [live[b] for b in keep], u[keep], None
             eng, x, xsq, (norms, norm_args), nrm, means = stack(u, live)
             # two or more members, so the noise is on: the block's V of the
             # members left, from the same increments, if it has steps left
@@ -776,7 +764,7 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
         if noise_on:
             if k_next == len(vels):
                 dw = noise_mod.draw_increments(eng.theta, dt, _keyed_rngs(philox, gen, n),
-                                               draws[:min(k_max, steps - n)])
+                                               draws[:min(eng.K, steps - n)])
                 vels, k_next = eng.velocity(dw), 0
             vel = vels[k_next]
             k_next += 1

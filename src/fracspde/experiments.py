@@ -1,8 +1,9 @@
 """Desk-scale statistical experiments on top of the simulator.
 
-Blow-up detection, Monte-Carlo survival curves against noise strength, the
-exponential-decay premise fit, the scalar mean-field dichotomy, and the
-empirical boundedness probes for the nonlinearity growth conditions.
+Monte-Carlo survival curves against noise strength, the delay study, the
+scalar mean-field dichotomy, and the empirical boundedness probes for the
+nonlinearity growth conditions.  (The blow-up detection and decay-rate fit
+that only tests use live in tests/_reference.py.)
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -43,21 +44,6 @@ def resolve_workers(explicit: Optional[int] = None) -> int:
     else:  # no affinity mask outside Linux
         cores = os.cpu_count() or 1
     return cores if explicit is None else min(explicit, cores)
-
-
-def detect_blowup(traj: dyn.TrajectoryRecord, threshold: float) -> Optional[float]:
-    """Earliest recorded time with L2 norm above threshold (or non-finite).
-
-    A run whose field turned non-finite has no recorded row at the event;
-    its stored blow-up time counts against any threshold.
-    """
-    bad = ~np.isfinite(traj.l2) | (traj.l2 > threshold)
-    idx = np.nonzero(bad)[0]
-    if idx.size:
-        return float(traj.times[idx[0]])
-    if traj.blew_up and traj.blowup_time is not None and traj.blowup_time > traj.times[-1]:
-        return traj.blowup_time
-    return None
 
 
 @dataclass
@@ -264,25 +250,6 @@ def delay_study(
         t_end=base_cfg.t_end,
         curves=curves,
     )
-
-
-def decay_rate_fit(traj: dyn.TrajectoryRecord) -> Tuple[float, float, float]:
-    """Least-squares envelope fit ||u_t|| ~ K ||u_0|| exp(-lambda t).
-
-    Returns (K, lambda, residual) where residual is the RMS misfit of
-    log ||u_t||.  The fit is an envelope check for the delayed-blow-up
-    premise; it is exact only for genuinely exponential decay.
-    """
-    if traj.blew_up:
-        raise InvalidInputError("cannot fit a decay rate to a blown-up trajectory")
-    if np.any(traj.l2 <= 0.0):
-        raise InvalidInputError("decay fit needs strictly positive norms")
-    logs = np.log(traj.l2)
-    slope, intercept = np.polyfit(traj.times, logs, 1)
-    fit = intercept + slope * traj.times
-    residual = float(np.sqrt(np.mean((logs - fit) ** 2)))
-    K = float(np.exp(intercept) / traj.l2[0])
-    return K, float(-slope), residual
 
 
 #: growth-condition exponents proved for the two example nonlinearities

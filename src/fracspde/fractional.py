@@ -25,6 +25,10 @@ ML_VALIDATED_RANGE = 20.0
 #: default blow-up threshold for scalar solves.
 DEFAULT_BLOWUP_THRESHOLD = 1.0e6
 
+#: cap on t_end/dt of a scalar solve: its trajectory and memory weights take
+#: 8 bytes a step each, so this is 16 MB.
+MAX_SCALAR_STEPS = 1_000_000
+
 
 def validate_order(beta: float) -> float:
     """Check a Caputo order beta against (0, 1] and return it as float."""
@@ -307,13 +311,17 @@ def solve_caputo_scalar_ode(
     beta = 1 this is exactly forward Euler.
 
     Blow-up (threshold crossing or a non-finite iterate) ends the solve and
-    is reported on the trajectory, not raised.
+    is reported on the trajectory, not raised.  Non-finite dt or t_end, and
+    more than MAX_SCALAR_STEPS steps, are refused before anything is allocated.
     """
     beta = validate_order(beta)
-    if dt <= 0.0:
-        raise InvalidParameterError(f"dt must be positive, got {dt}")
-    if t_end <= 0.0:
-        raise InvalidParameterError(f"t_end must be positive, got {t_end}")
+    if not 0.0 < dt < math.inf:
+        raise InvalidParameterError(f"dt must be positive and finite, got {dt}")
+    if not 0.0 < t_end < math.inf:
+        raise InvalidParameterError(f"t_end must be positive and finite, got {t_end}")
+    if t_end / dt > MAX_SCALAR_STEPS:
+        raise InvalidParameterError(
+            f"t_end/dt = {t_end / dt:.6g} steps exceeds the cap of {MAX_SCALAR_STEPS}")
     x0 = float(x0)
     if not blowup_threshold > abs(x0):
         raise InvalidParameterError(

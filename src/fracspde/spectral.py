@@ -316,10 +316,8 @@ class GridTransform:
     order.  A plan with grad also gives each channel's gradient: the pass
     over axis a stacks E diag(2 pi i k) under E, and the blocks already
     differentiated along a later axis take E alone, so the value and the d
-    derivatives share their intermediates.  Each direction, channel count,
-    grad and member count has one plan, built on first use and shared by
-    every caller with that key, so a returned array is valid only until the
-    next run of the same plan.
+    derivatives share their intermediates.  Each plan has arrays of its
+    own, so a returned array is valid only until the next run of its plan.
     """
 
     def __init__(self, d: int, M: int, R: int):
@@ -332,12 +330,12 @@ class GridTransform:
         # forward: F = conj(E).T / R; grids @ F_half viewed as complex is grids @ F.T
         self._FT = E.conj() / R
         self._F_half = np.ascontiguousarray(_real_rows(E[:, M:]).T / R)
-        self._plans = {}
 
     def plan(self, C: int, from_grid: bool = False, grad: bool = False,
-             B: int = 1) -> TransformPlan:
-        """The plan of B members of C channels each for _to_grid (with each
-        channel's gradient if grad), or for _from_grid if from_grid.
+             B: int = 1, out=None) -> TransformPlan:
+        """A new plan of B members of C channels each for _to_grid (with each
+        channel's gradient if grad, its grids written into out if given, see
+        _to_plan), or for _from_grid if from_grid.
 
         The members' grids sit side by side along the last axis, B R points
         long (member b at b R .. b R + R - 1), so that a pointwise product
@@ -347,11 +345,7 @@ class GridTransform:
         per member, of the shape of the one-member plan, so a member's values
         do not depend on B.
         """
-        key = (C, from_grid, grad, B)
-        if key not in self._plans:
-            self._plans[key] = (self._from_plan(C, B) if from_grid
-                                else self._to_plan(C, grad, B))
-        return self._plans[key]
+        return self._from_plan(C, B) if from_grid else self._to_plan(C, grad, B, out)
 
     def _to_plan(self, C: int, grad: bool, B: int, out=None) -> TransformPlan:
         """The to-grid plan.  It writes its grids into out (C (1 + d grad), R,
@@ -427,8 +421,9 @@ def to_grid(f: SpectralField, dealias: bool = True, resolution: int | None = Non
             f"resolution {R} too small for M = {f.M} (dealias={dealias})"
         )
     transform = GridTransform(f.d, f.M, R)
-    transform.plan(1).input[0] = f.coeffs[f.M:]
-    return GridField(f.d, R, np.moveaxis(transform._to_grid(transform.plan(1))[0], -1, 0))
+    plan = transform.plan(1)
+    plan.input[0] = f.coeffs[f.M:]
+    return GridField(f.d, R, np.moveaxis(transform._to_grid(plan)[0], -1, 0))
 
 
 def from_grid(g: GridField, M: int) -> SpectralField:
@@ -438,8 +433,9 @@ def from_grid(g: GridField, M: int) -> SpectralField:
             f"grid resolution {g.resolution} cannot represent modes up to M = {M}"
         )
     transform = GridTransform(g.d, M, g.resolution)
-    transform.plan(1, from_grid=True).input[0] = np.moveaxis(g.values, 0, -1)
-    half = transform._from_grid(transform.plan(1, from_grid=True))[0]
+    plan = transform.plan(1, from_grid=True)
+    plan.input[0] = np.moveaxis(g.values, 0, -1)
+    half = transform._from_grid(plan)[0]
     return SpectralField(g.d, M, hermitian_block(half))
 
 

@@ -27,6 +27,10 @@ the Stratonovich-to-Ito corrector, which must equal b*Laplace.
 comparison_oracle orders two scalar solves pointwise (the fractional
 comparison principle), and field_to_csv is a one-row-per-mode dump of a
 field.
+
+detect_blowup reads the first threshold crossing off a record, and
+decay_rate_fit fits an exponential envelope to its L2 norm (the premise of
+the delayed blow-up).
 """
 
 import math
@@ -36,7 +40,7 @@ from scipy.signal import convolve2d
 
 from fracspde import dynamics as dyn
 from fracspde import noise as nm
-from fracspde.errors import ShapeError
+from fracspde.errors import InvalidInputError, ShapeError
 from fracspde.spectral import TWO_PI, SpectralField
 
 
@@ -266,3 +270,37 @@ def field_to_csv(f):
             + f",{format(c.real, '.17g')},{format(c.imag, '.17g')}"
         )
     return "\n".join(lines) + "\n"
+
+
+def detect_blowup(traj, threshold):
+    """Earliest recorded time with L2 norm above threshold (or non-finite).
+
+    A run whose field turned non-finite has no recorded row at the event;
+    its stored blow-up time counts against any threshold.
+    """
+    bad = ~np.isfinite(traj.l2) | (traj.l2 > threshold)
+    idx = np.nonzero(bad)[0]
+    if idx.size:
+        return float(traj.times[idx[0]])
+    if traj.blew_up and traj.blowup_time is not None and traj.blowup_time > traj.times[-1]:
+        return traj.blowup_time
+    return None
+
+
+def decay_rate_fit(traj):
+    """Least-squares envelope fit ||u_t|| ~ K ||u_0|| exp(-lambda t).
+
+    Returns (K, lambda, residual) where residual is the RMS misfit of
+    log ||u_t||.  The fit is an envelope check for the delayed-blow-up
+    premise; it is exact only for genuinely exponential decay.
+    """
+    if traj.blew_up:
+        raise InvalidInputError("cannot fit a decay rate to a blown-up trajectory")
+    if np.any(traj.l2 <= 0.0):
+        raise InvalidInputError("decay fit needs strictly positive norms")
+    logs = np.log(traj.l2)
+    slope, intercept = np.polyfit(traj.times, logs, 1)
+    fit = intercept + slope * traj.times
+    residual = float(np.sqrt(np.mean((logs - fit) ** 2)))
+    K = float(np.exp(intercept) / traj.l2[0])
+    return K, float(-slope), residual

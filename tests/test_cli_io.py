@@ -7,6 +7,7 @@ import pytest
 
 from fracspde import cli
 from fracspde import dynamics as dyn
+from fracspde import fractional
 from fracspde import io as io_mod
 from fracspde.errors import InvalidParameterError
 
@@ -235,6 +236,17 @@ class TestCli:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[0])
         assert payload["blew_up"] is False
+
+    @pytest.mark.parametrize("cmd", ["ode", "dichotomy"])
+    @pytest.mark.parametrize("beta,dt,t_end", [
+        ("0.9", "nan", "1"), ("0.9", "0.1", "inf"), ("1", "inf", "1"), ("0.9", "0.01", "2")])
+    def test_scalar_solve_steps_exit_code(self, cmd, beta, dt, t_end, tmp_path, capsys,
+                                          monkeypatch):
+        monkeypatch.setattr(fractional, "MAX_SCALAR_STEPS", 100)  # 200 steps exceed it
+        rc = cli.main(["--out", str(tmp_path), cmd, "--beta", beta, "--x0", "0.5",
+                       "--dt", dt, "--t-end", t_end])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_noise_audit(self, capsys):
         assert cli.main(["noise-audit", "--N", "2", "--d", "3", "--b", "4.0"]) == 0

@@ -278,8 +278,12 @@ class TestVelocityBlock:
     """V of K steps from one velocity pass, as integrate builds it."""
 
     @pytest.mark.parametrize("d,M,N,K", [(2, 4, 4, 24), (3, 3, 2, 5)])
-    def test_block_matches_one_step_calls(self, d, M, N, K):
+    def test_block_matches_one_step_calls(self, d, M, N, K, monkeypatch):
+        # the engine's own block holds K steps of point values
+        R = dyn._grid_size(M, N)
+        monkeypatch.setattr(dyn, "VELOCITY_BLOCK_BYTES", K * 8 * d * R**d)
         eng = dyn._Engine(make_cfg(d=d, M=M, b=1.0, noise_N=N))
+        assert eng.K == K
         rng = np.random.default_rng(15)
         dw = np.array([nm.sample_increments(eng.theta, 0.01, rng).values for _ in range(K)])
         block = [np.array(v) for v in eng.velocity(dw)]
@@ -326,7 +330,7 @@ class TestVelocityBlock:
         # K grid passes that read their V from it
         cfg = make_cfg(d=d, M=M, b=1.0, noise_N=2, zeta=zeta)
         eng = dyn._Engine(cfg)
-        K = max(1, dyn.VELOCITY_BLOCK_BYTES // (8 * d * eng.R**d))
+        K = eng.K
         rng = np.random.default_rng(16)
         u = _half(sp.random_field(rng, d, M, 1.0, 1.0, mean=0.6))[None]
         dws = [np.array([nm.sample_increments(eng.theta, 0.01, rng).values for _ in range(K)])
@@ -342,6 +346,26 @@ class TestVelocityBlock:
         largest, kept = _steady_allocations(steady)
         assert largest < u.nbytes
         assert kept < u.nbytes
+
+    @pytest.mark.parametrize("d,M,zeta,Ns", [
+        (2, 4, "fisher", [2]), (3, 3, "keller_segel", [2]), (2, 4, "fisher", [2, 4])],
+        ids=["2-4-fisher", "3-3-keller_segel", "2-4-fisher-batch"])
+    def test_first_call_allocates_no_block(self, d, M, zeta, Ns):
+        # the velocity block is bound when the engine is built: the first call
+        # of a fresh engine, on a full block of increments as integrate draws
+        # it, allocates nothing as large as one member's block of V
+        engines = [dyn._Engine(*(make_cfg(d=d, M=M, b=1.0, noise_N=N, zeta=zeta) for N in Ns))
+                   for _ in range(2)]
+        K, R = engines[0].K, engines[0].R
+        rng = np.random.default_rng(18)
+        dw = np.array([nm.sample_increments(engines[0].theta, 0.01, rng).values for _ in range(K)])
+        fresh = iter(engines)  # steady() runs twice, each time on an engine not called yet
+
+        def steady():
+            next(fresh).velocity(dw)
+
+        largest, _ = _steady_allocations(steady)
+        assert largest < K * d * R**d * 8
 
 
 def _same_record(got, want):

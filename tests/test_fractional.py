@@ -210,6 +210,21 @@ class TestScalarSolver:
         with pytest.raises(InvalidParameterError):
             solve_caputo_scalar_ode(lambda x: -x, 1.0, 2.0, 0.1, 1.0, blowup_threshold=1.0)
 
+    @pytest.mark.parametrize("dt,t_end", [(math.nan, 1.0), (math.inf, 1.0), (0.1, math.nan),
+                                          (0.1, math.inf), (1e-300, 1e300)])
+    def test_non_finite_steps_refused(self, dt, t_end):
+        with pytest.raises(InvalidParameterError):
+            solve_caputo_scalar_ode(lambda x: -x, 1.0, 0.5, dt, t_end)
+
+    def test_step_cap_refused(self, monkeypatch):
+        # the cap admits the 200 000 steps of the dichotomy runs; a small cap
+        # shows the refusal without a solve that would allocate beyond it
+        assert fractional.MAX_SCALAR_STEPS >= 200_000
+        monkeypatch.setattr(fractional, "MAX_SCALAR_STEPS", 100)
+        with pytest.raises(InvalidParameterError, match="cap of 100"):
+            solve_caputo_scalar_ode(lambda x: -x, 0.9, 0.5, 0.01, 2.0)
+        assert len(solve_caputo_scalar_ode(lambda x: -x, 0.9, 0.5, 0.01, 1.0).times) == 101
+
     def test_blowup_monotone_in_initial_value(self):
         times = []
         for x0 in (1.2, 1.5, 2.0):
