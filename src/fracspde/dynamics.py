@@ -10,18 +10,22 @@ Time stepping is the explicit Volterra-Euler recursion
 
 with w[n][k] = c_{n-k} of fractional.kernel_increments, one Brownian path
 per trajectory (the increments of step k are reused by every later n).  The
-transport velocity V_k depends on the increments of step k alone, not on u,
-so integrate draws the increments of the next K steps (each step from its
-own keyed stream) and turns them into point values of V in one pass; each
-step's grid pass then reads its own V from that block.  The history sum is
-kept by fractional.VolterraHistory: exact weights for the newest lags, a
-sum-of-exponentials fold of the tail, so a step costs O((window + K) P) and
-the memory does not grow with the step count.  At beta = 1 the weights are
+two terms share their weight, so a step forms their sum G_k once: the linear
+part in coefficient space, and zeta plus the transport over dt as one grid
+sum, lval f(u) + (V/dt).grad u, brought back by one transform (see
+GridPass); at beta = 1 the update is u += dt G_k.  The transport velocity
+V_k depends on the increments of step k alone, not on u, so integrate draws
+the increments of the next K steps (each step from its own keyed stream) and
+turns them into point values of V in one pass; each step's grid pass then
+reads its own V from that block.  The history sum is kept by
+fractional.VolterraHistory: exact weights for the newest lags, a
+sum-of-exponentials fold of the tail, so a step costs O((window + K) P) and the
+memory does not grow with the step count.  At beta = 1 the weights are
 exactly dt and the recursion collapses to classical Euler-Maruyama, which is
-also how it is computed (incrementally, same partial sums).  Configs that
-differ in noise_N only, on one grid, step as one stack (integrate_batch):
-one keyed draw and one grid pass per step for all of them, each member's
-record bitwise the one it gets alone; integrate is the stack of one.
+also how it is computed (incrementally).  Configs that differ in noise_N
+only, on one grid, step as one stack (integrate_batch): one keyed draw and
+one grid pass per step for all of them, each member's record bitwise the one
+it gets alone; integrate is the stack of one.
 """
 
 from __future__ import annotations
@@ -200,9 +204,10 @@ class SimConfig:
             raise InvalidParameterError("blowup_threshold must be positive")
         if self.snapshot_stride < 0:
             raise InvalidParameterError("snapshot_stride must be >= 0")
-        if self.n_steps > MAX_STEPS:
+        # before n_steps rounds it to an int: t_end/dt is inf for a subnormal dt
+        if self.t_end / self.dt > MAX_STEPS + 0.5:
             raise InvalidParameterError(
-                f"t_end/dt = {self.n_steps} steps exceeds the cap of {MAX_STEPS}"
+                f"t_end/dt = {self.t_end / self.dt:.6g} steps exceeds the cap of {MAX_STEPS}"
             )
         _validate_init_spec(self.init)
 
@@ -311,8 +316,9 @@ def cutoff_value(r: float, S: float) -> float:
 
 def zeta_fisher(u: sp.SpectralField) -> sp.SpectralField:
     """Fisher-KPP nonlinearity u^2 - u, dealiased and truncated to M (the grid pass)."""
-    half = GridPass(u.d, u.M, "fisher").zeta_block(u.coeffs[None, u.M:])[0][0]
-    return sp.SpectralField(u.d, u.M, sp.hermitian_block(half))
+    half = u.coeffs[u.M:]
+    return sp.SpectralField(u.d, u.M, sp.hermitian_block(
+        GridPass(u.d, u.M, "fisher").zeta_block(half[None])[0] - half))
 
 
 def zeta_keller_segel(rho: sp.SpectralField) -> sp.SpectralField:
@@ -320,7 +326,7 @@ def zeta_keller_segel(rho: sp.SpectralField) -> sp.SpectralField:
 
     Computed by the grid pass, whose output mean mode is exactly zero.
     """
-    half = GridPass(rho.d, rho.M, "keller_segel").zeta_block(rho.coeffs[None, rho.M:])[0][0]
+    half = GridPass(rho.d, rho.M, "keller_segel").zeta_block(rho.coeffs[None, rho.M:])[0]
     return sp.SpectralField(rho.d, rho.M, sp.hermitian_block(half))
 
 
@@ -335,7 +341,7 @@ def drift(u: sp.SpectralField, cfg: SimConfig) -> sp.SpectralField:
     if (u.d, u.M) != (cfg.d, cfg.M):
         raise ShapeError(f"field has (d, M) = {(u.d, u.M)} but the config has {(cfg.d, cfg.M)}")
     lval = cutoff_value(sp.sobolev_norm(u, -cfg.gamma), cfg.S)
-    half = _Engine(replace(cfg, noise_N=0)).drift_block(u.coeffs[None, u.M:], [lval])[0][0]
+    half = _Engine(replace(cfg, noise_N=0)).drift_block(u.coeffs[None, u.M:], [lval])[0]
     return sp.SpectralField(u.d, u.M, sp.hermitian_block(half))
 
 
@@ -380,23 +386,25 @@ class _Velocity(sp.GridTransform):
     with m_0 >= 0, in the rotated axis order of the plans.
     """
 
-    def __init__(self, d: int, R: int, noise, K: int, out: np.ndarray):
-        """noise is the (theta, basis, A) of the transport term; the point
-        values of K steps go to out (K d, R, ..., R).
+    def __init__(self, d: int, R: int, noise, K: int, n: int, out: np.ndarray):
+        """noise is the (theta, basis, A) of the transport term, n >= its n_half
+        the modes of each step of the draw (the batch's largest noise); the
+        point values of K steps go to out (K d, R, ..., R).
 
-        (V_m, V_{-m}) of step k sit in row k of pm (2, d, K, n_half), and q is
-        tiled K times and stored complex, so that each product is one call on
-        rows of one dtype: numpy takes buffers for a broadcast or a cast.  The
+        (V_m, V_{-m}) of step k sit in row k of pm (2, d, K, n), and q is tiled
+        K times, zero beyond n_half and stored complex, so that each product is
+        one call on whole rows of one dtype: numpy takes buffers for a
+        broadcast, a cast, or rows it cannot run as one strided line.  The
         one-step index tables are moved to each step's rows and channels.
         """
         self.theta, basis, A = noise
         half, nh = self.theta.half_modes, self.theta.n_half
         N = int(np.max(np.abs(half)))
         super().__init__(d, N, R)
-        self._plan = self.plan(K * d, out=out)
+        self._plan, self._n = self.plan(K * d, out=out), n
         # V_m[a] = sum_j q[j, a, m] dW^{m,j}
-        q = (A * self.theta.half_values) * basis.q.transpose(1, 2, 0)
-        q = np.tile(q, K).astype(np.complex128).reshape(d - 1, d, K, nh)
+        q = np.zeros((d - 1, d, K, n), np.complex128)
+        q[..., :nh] = ((A * self.theta.half_values) * basis.q.transpose(1, 2, 0))[:, :, None]
         # the modes m of V_m and -m of V_{-m} = conj(V_m) with a first component >= 0
         # (both of a pair with m_0 = 0): flat positions in one step's (V_m, V_{-m})
         # rows (2, d, n_half) and in its d channels of V's half input, which is zero
@@ -410,23 +418,23 @@ class _Velocity(sp.GridTransform):
         at[:, 0] -= N
         shape = (d, N + 1) + (2 * N + 1,) * (d - 1)
         at = np.ravel_multi_index(np.broadcast_arrays(comp, *at.T), shape).ravel()
-        self._src = ((src // nh * K + k) * nh + src % nh).ravel()
+        self._src = ((src // nh * K + k) * n + src % nh).ravel()
         self._at = (k * self._plan.input[:d].size + at).ravel()
-        pm = np.zeros((2, d, K, nh), np.complex128)
+        pm = np.zeros((2, d, K, n), np.complex128)
         self._rows = [list(zip(qj, *pm)) for qj in q]
         self._pm, self._pm_flat = tuple(pm), pm.reshape(-1)
         self._kept = np.empty(len(self._src), np.complex128)
         self._flat = self._plan.input.reshape(-1)
 
     def velocity(self, dw: np.ndarray):
-        """V of the first len(dw) <= K steps of out, from the first n_half
-        rows of each step of dw (len(dw), n >= n_half, d-1).  The row products
-        cover those steps; the scatter and the transform run over the block."""
-        k, nh = len(dw), self.theta.n_half
+        """V of the first len(dw) <= K steps of out, from the first n rows of
+        each step of dw (len(dw), >= n, d-1).  The row products cover those
+        steps; the scatter and the transform run over the block."""
+        k, n = len(dw), self._n
         for j, rows in enumerate(self._rows):
             for q, v, tmp in rows:  # no view of dw outlives this: it would add to every peak
                 v, tmp = v[:k], tmp[:k]
-                np.multiply(q[:k], dw[:, :nh, j], out=tmp if j else v)
+                np.multiply(q[:k], dw[:, :n, j], out=tmp if j else v)
                 if j:
                     v += tmp
         np.conjugate(*self._pm)
@@ -442,20 +450,23 @@ def _grid_size(M: int, N: int) -> int:
 
 
 class GridPass(sp.GridTransform):
-    """Pi_M zeta(u) and the transport term V.grad u from one grid pass, for a
-    stack of members.
+    """Pi_M w, w = lval f(u) + V.grad u, from one grid pass for a stack of
+    members: f is u^2 for Fisher (its -u is linear, left to the caller),
+    rho (rho - mean rho) - grad rho . grad c with -Laplace c = rho - mean rho
+    for Keller-Segel, 0 for "none"; V is the noise's velocity at the
+    amplitude given, lval each member's cut-off value.
 
     One inverse transform takes u (and c of Keller-Segel) to the point values
-    of u, grad u (and grad c) on R = max(3M+1, 2M+N+1) points per axis,
-    where neither product aliases onto ||k||_inf <= M (the 2/3 rule): the
-    gradients come from the differentiated DFT matrices of a grad plan (see
-    GridTransform), so the value and the gradient share one transform.  The
-    products come back in one forward transform.  Every block is a half
-    block (k_0 = 0..M first, see GridTransform): the input u, the
-    multipliers, the channels and the outputs, whose k_0 = 0 plane is not
-    symmetrized (the inverse transform reads only its Hermitian part).  Every
-    grid, V's included, is in the rotated axis order (x_1, ..., x_{d-1}, x_0)
-    of the plans.
+    of u, grad u (and grad c, without c's value grid) on R = max(3M+1, 2M+N+1)
+    points per axis, where no product aliases onto ||k||_inf <= M (the 2/3
+    rule): the gradients come from the differentiated DFT matrices of a grad
+    plan (see GridTransform), so the value and the gradient share one
+    transform.  w comes back in one forward transform of one channel.  Every
+    block is a half block (k_0 = 0..M first, see GridTransform): the input
+    u, the multipliers, the channels and the outputs, whose k_0 = 0 plane is
+    not symmetrized (the inverse transform reads only its Hermitian part).
+    Every grid, V's included, is in the rotated axis order
+    (x_1, ..., x_{d-1}, x_0) of the plans.
 
     The members of a pass differ in their noise only (a batch, see
     integrate_batch); each has its own _Velocity, and the pass runs over
@@ -466,15 +477,17 @@ class GridPass(sp.GridTransform):
     V of every member from it (vel).  Each pass has one layout, K included,
     fixed at construction by the zeta kind and its members: it does not
     change with the cut-off values, and members that leave a batch go on in
-    a new pass.  Multipliers of a block are stored complex: numpy takes
-    buffers for a cast.
+    a new pass.  A member's lval scales its own blocks, and its grid columns
+    through a full grid of weights filled column by column: numpy takes
+    buffers for a broadcast, a cast or an operation on one member's columns,
+    not for a fill.
     """
 
     def __init__(self, d: int, M: int, zeta: str = "none", noise=None):
         """noise is None (the noise off, one member) or a list with the
         (theta, basis, A) of each member's transport term.  The work arrays
-        are those of these members: u [grad u] [c, grad c] of each member on
-        the grid, zeta and the transport back."""
+        are those of these members: u, grad u [grad c] of each member on the
+        grid, w and the forcing back."""
         N = 0 if noise is None else max(int(np.max(np.abs(n[0].half_modes))) for n in noise)
         super().__init__(d, M, _grid_size(M, N))
         # the mean mode and the multipliers on the half block
@@ -491,34 +504,34 @@ class GridPass(sp.GridTransform):
             # the members' V of K steps (a member's fit VELOCITY_BLOCK_BYTES) in one
             # stack (K, d, R, ..., R, B R), member b's velocity pass writing its columns
             B, self.K = len(noise), max(1, VELOCITY_BLOCK_BYTES // (8 * d * R**d))
-            V = np.empty((self.K, d) + (R,) * (d - 1) + (B * R,))
-            self._vels = [_Velocity(d, R, n, self.K, V[..., b * R:(b + 1) * R].reshape(
-                (self.K * d,) + (R,) * d)) for b, n in enumerate(noise)]
-            self._steps = [tuple(V[k]) for k in range(self.K)]  # step k's (V_1, ..., V_d)
             # the largest noise: the support of the batch's draw
-            self.theta = max((v.theta for v in self._vels), key=lambda t: t.n_half)
-        # zeta - u of Fisher, the drift sum, the grid product temporary
-        self._blk, self._drift = np.empty((2, B) + self.ksq.shape, np.complex128)
-        self._tmp = np.empty((R,) * (d - 1) + (B * R,))
-        n_back = (zeta != "none") + noise_on
+            self.theta = max((n[0] for n in noise), key=lambda t: t.n_half)
+            V = np.empty((self.K, d) + (R,) * (d - 1) + (B * R,))
+            self._vels = [_Velocity(d, R, n, self.K, self.theta.n_half, V[..., b * R:(b + 1) * R]
+                                    .reshape((self.K * d,) + (R,) * d)) for b, n in enumerate(noise)]
+            self._steps = [tuple(V[k]) for k in range(self.K)]  # step k's (V_1, ..., V_d)
+        self._drift = np.empty((B,) + self.ksq.shape, np.complex128)
+        self._tmp = np.empty((R,) * (d - 1) + (B * R,))  # the grid product temporary
         self._lay = None  # nothing to compute on the grid
-        if n_back:
-            C, grad = 1 + ks, ks or noise_on
-            to, back = self.plan(C, grad=grad, B=B), self.plan(n_back, from_grid=True, B=B)
-            g, h = tuple(to.output), back.output.reshape((n_back, B) + self.ksq.shape)
-            # the members' mean modes of the outputs that are zero analytically
-            zero = []
-            if ks:  # a divergence
-                zero.append(h[0][self._mean])
-            if noise_on:  # q.m = 0
-                zero.append(h[-1][self._mean])
+        if zeta != "none" or noise_on:
+            to = self.plan(1 + ks, grad=ks or noise_on, B=B, values=1)
+            back = self.plan(1, from_grid=True, B=B)
+            g, cols = tuple(to.output), [(..., slice(b * R, (b + 1) * R)) for b in range(B)]
+            p = back.input[0]
             self._lay = SimpleNamespace(
-                to=to, back=back, ks=ks, noise=noise_on, chan=tuple(to.input[c::C] for c in range(C)),
-                u=g[0], grad_u=g[1:d + 1], grad_c=g[d + 2:], p=tuple(back.input), h=tuple(h),
-                zero=zero,
-                # each member's columns of the temporary, for its mean of Keller-Segel:
-                # a broadcast would take numpy's buffers
-                tmp_m=[self._tmp[..., b * R:(b + 1) * R] for b in range(B)])
+                to=to, back=back, ks=ks, chan=tuple(to.input[c::1 + ks] for c in range(1 + ks)),
+                u=g[0], grad_u=g[1:d + 1], grad_c=g[d + 1:], p=p, h=back.output,
+                # the members' mean modes of the forcing
+                mean=back.output[self._mean], mean_re=back.output[self._mean].real,
+                # each member's columns of the temporary and of w: filled one by one
+                tmp_m=[self._tmp[c] for c in cols], p_m=[p[c] for c in cols])
+            if zeta == "fisher" and noise_on:
+                # each member's sum |u_k|^2 (Parseval: the grid mean of u^2), (x*x) @ w on the
+                # interleaved floats x of its input, a row with k_0 > 0 counting its mirror
+                lay, w = self._lay, np.repeat(np.arange(self.ksq.size) >= self.ksq[0].size, 2) + 1.0
+                lay.x = to.input.reshape(B, -1).view(np.float64)
+                lay.xsq, lay.sums = np.empty_like(lay.x), np.empty((B, 1, 1))
+                lay.l2sq = sp._gemm(lay.xsq[:, None], w[:, None], lay.sums)
 
     def velocity(self, dw: np.ndarray) -> list:
         """Point values of V for the increments dw (k <= K, n_half, d-1) of k steps.
@@ -534,44 +547,76 @@ class GridPass(sp.GridTransform):
             v.velocity(dw)
         return self._steps[:len(dw)]
 
-    def zeta_block(self, blocks: np.ndarray, vel=None):
-        """The grid pass on the members' half blocks (B, M+1, n, ...):
-        (Pi_M zeta(u) or None, transport or None), stacked likewise.  The
-        members' grids sit side by side (see GridTransform.plan).
+    def zeta_block(self, blocks: np.ndarray, vel=None, lvals=None) -> np.ndarray:
+        """Pi_M w of the members' half blocks (B, M+1, n, ...), stacked likewise
+        (see GridTransform.plan for the members' grids).
 
-        The transport needs this step's V of each member: vel, an entry of
-        velocity(), which a pass with the noise on requires.  It is taken in
-        gradient form V.grad u, so a constant u gives exactly 0; its mean
-        mode, zero analytically (q.m = 0), is set to exactly 0.  Outputs are
-        views of work arrays that the next call overwrites.
+        vel is this step's V of each member, an entry of velocity(), which a
+        pass with the noise on requires; lvals lists the members' cut-off
+        values, None if each is 1.  A member at lval == 0 has its f left
+        out, never scaled by 0: its w is 0 + V.grad u, summed as alone.  V.grad
+        u is exactly 0 for a constant u, and its mean, zero analytically
+        (q.m = 0), never enters the output's: that is exactly 0 for
+        Keller-Segel and "none" (a divergence), and for Fisher with the noise
+        on lval sum |u_k|^2 (the grid mean of lval u^2, by Parseval).  The
+        output is a view of a work array that the next call overwrites.
         """
         lay = self._lay
-        u, p, h, tmp = lay.u, lay.p, lay.h, self._tmp
+        u, p, tmp = lay.u, lay.p, self._tmp
+        some = lvals is not None and lvals.count(1.0) + lvals.count(0.0) < len(lvals)
         np.copyto(lay.chan[0], blocks)
         if lay.ks:
             np.multiply(blocks, self.inv_lap, out=lay.chan[1])
+            for c, lval in zip(lay.chan[1], lvals or ()):
+                if lval == 0.0:
+                    c.fill(0.0)
+                elif lval != 1.0:
+                    c *= lval
         self._to_grid(lay.to)
         if lay.ks:
-            # -div(rho grad c) = rho (rho - mean rho) - grad rho . grad c
+            # rho (rho - mean rho) + grad rho . (V - grad c), c scaled by lval above
             for t, mean in zip(lay.tmp_m, blocks[self._mean].real):
                 t.fill(mean)
             np.subtract(u, tmp, out=tmp)
-            np.multiply(u, tmp, out=p[0])
-            for gr, gc in zip(lay.grad_u, lay.grad_c):
-                np.subtract(p[0], np.multiply(gr, gc, out=tmp), out=p[0])
+            if some:  # the weights in p, 1 at lval 0 (its f is left out below)
+                for c, lval in zip(lay.p_m, lvals):
+                    c.fill(lval or 1.0)
+                tmp *= p
+            np.multiply(u, tmp, out=p)
         elif self.zeta == "fisher":
-            np.multiply(u, u, out=p[0])
-        if lay.noise:
-            np.multiply(vel[0], lay.grad_u[0], out=p[-1])
-            for v, gr in zip(vel[1:], lay.grad_u[1:]):
-                np.add(p[-1], np.multiply(v, gr, out=tmp), out=p[-1])
+            np.multiply(u, u, out=p)
+            if some:  # the weights in tmp
+                for c, lval in zip(lay.tmp_m, lvals):
+                    c.fill(lval or 1.0)
+                p *= tmp
+        else:
+            p.fill(0.0)
+        for pm, lval in zip(lay.p_m, lvals or ()):
+            if lval == 0.0:
+                pm.fill(0.0)
+        if vel is None:  # Keller-Segel without the noise
+            for gr, gc in zip(lay.grad_u, lay.grad_c):
+                np.subtract(p, np.multiply(gr, gc, out=tmp), out=p)
+        else:
+            for a, (v, gr) in enumerate(zip(vel, lay.grad_u)):
+                if lay.ks:
+                    np.multiply(np.subtract(v, lay.grad_c[a], out=tmp), gr, out=tmp)
+                else:
+                    np.multiply(v, gr, out=tmp)
+                p += tmp
         self._from_grid(lay.back)
-        for mean in lay.zero:
-            mean.fill(0.0)
-        zeta = None
-        if self.zeta != "none":
-            zeta = h[0] if lay.ks else np.subtract(h[0], blocks, out=self._blk)
-        return zeta, (h[-1] if lay.noise else None)
+        if self.zeta != "fisher":
+            lay.mean.fill(0.0)
+        elif vel is not None:
+            np.multiply(lay.x, lay.x, out=lay.xsq)
+            op, args = lay.l2sq
+            op(*args)
+            if lvals is None:
+                np.copyto(lay.mean_re, lay.sums[:, 0, 0])
+            else:
+                for b, lval in enumerate(lvals):
+                    lay.mean_re[b] = lval * lay.sums[b, 0, 0] if lval else 0.0
+        return lay.h
 
 
 @lru_cache(maxsize=16)
@@ -584,7 +629,8 @@ def _noise_support(N: int, d: int):
 class _Engine(GridPass):
     """Linear multipliers, norm weights and the grid pass of the configs of a
     batch, on the half block: cfg, and others that differ from it in noise_N
-    only (see batch_key)."""
+    only (see batch_key).  Each member's velocity has the amplitude A/dt, so
+    that the pass returns the transport over dt."""
 
     def __init__(self, cfg: SimConfig, *others: SimConfig):
         noise = None
@@ -592,11 +638,14 @@ class _Engine(GridPass):
             noise = []
             for c in (cfg,) + others:
                 theta, basis = _noise_support(c.noise_N, c.d)
-                noise.append((theta, basis, noise_mod.amplitude_A(c.b, theta)))
+                noise.append((theta, basis, noise_mod.amplitude_A(c.b, theta) / c.dt))
         super().__init__(cfg.d, cfg.M, cfg.zeta, noise)
         # one row per member: a product of operands of one shape is numpy's fast path
         lin = (-(self.lap**cfg.s) - cfg.b * self.lap).astype(np.complex128)
         self.lin_mult = np.repeat(lin[None], len(self._drift), axis=0)
+        # Fisher's u^2 - u: the -u joins the linear multiplier
+        self._lin = self.lin_mult - 1.0 if cfg.zeta == "fisher" else self.lin_mult
+        self._mult = np.empty_like(self.lin_mult)
         # (x*x) @ norm_w on the interleaved float view x of a half block gives the
         # squared L2, H^s and H^-gamma norms; a row with k_0 > 0 counts its mirror too
         w = np.stack([np.ones_like(self.ksq), (1.0 + self.ksq) ** cfg.s,
@@ -604,31 +653,27 @@ class _Engine(GridPass):
         w[1:] *= 2.0
         self.norm_w = np.repeat(w.reshape(-1, 3), 2, axis=0)
 
-    def drift_block(self, blocks: np.ndarray, lvals: list, vel=None):
-        """(drift, transport or None) of the members' half blocks (B, M+1, n, ...)
-        at their cut-off values lvals (a list), for this step's vel (see
-        zeta_block).
+    def drift_block(self, blocks: np.ndarray, lvals: list, vel=None) -> np.ndarray:
+        """The forcing G = lin u + lval zeta(u) + transport/dt of the members'
+        half blocks (B, M+1, n, ...) at their cut-off values lvals (a list),
+        for this step's vel (see zeta_block).
 
-        A member at lval == 0 has its zeta left out, never scaled by 0; the
-        pass still runs if the noise is on.  Both are stacks of views of work
-        arrays that the next call overwrites.
+        Fisher's -lval u is part of the multiplier: lin - 1 where every lval
+        is 1, else lin - lval on each member's row.  A member at lval == 0
+        has its zeta left out, never scaled by 0; the pass still runs if the
+        noise is on.  The output is a view of a work array that the next
+        call overwrites.
         """
-        out = np.multiply(self.lin_mult, blocks, out=self._drift)
         full = lvals.count(1.0) == len(lvals)  # the cut-off is inactive on most steps
-        add_zeta = self.zeta != "none" and (full or lvals.count(0.0) < len(lvals))
-        if not add_zeta and vel is None:
-            return out, None
-        zeta, transport = self.zeta_block(blocks, vel)
-        if add_zeta:
-            if full:
-                out += zeta
-            else:
-                for b, lval in enumerate(lvals):
-                    if lval != 0.0:
-                        if lval != 1.0:
-                            zeta[b] *= lval
-                        out[b] += zeta[b]
-        return out, transport
+        mult = self._lin
+        if self.zeta == "fisher" and not full:
+            mult = self._mult
+            for row, lin, lval in zip(mult, self.lin_mult, lvals):
+                np.subtract(lin, lval, out=row)
+        out = np.multiply(mult, blocks, out=self._drift)
+        if vel is not None or (self.zeta != "none" and lvals.count(0.0) < len(lvals)):
+            out += self.zeta_block(blocks, vel, None if full else lvals)
+        return out
 
 
 def batch_key(cfg: SimConfig):
@@ -768,15 +813,10 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
                 vels, k_next = eng.velocity(dw), 0
             vel = vels[k_next]
             k_next += 1
-        g, t_blk = eng.drift_block(u, lvals, vel)
+        g = eng.drift_block(u, lvals, vel)
         if classical:
             u += np.multiply(dt, g, out=g)
-            if noise_on:
-                u += t_blk
-        else:
-            if noise_on:
-                g += np.divide(t_blk, dt, out=t_blk)
-            # u_{n+1} = u_0 + sum_{k<=n} c_{n+1-k} G_k
+        else:  # u_{n+1} = u_0 + sum_{k<=n} c_{n+1-k} G_k
             for run, g_b in zip(live, g):
                 np.add(u0_flat, run.hist.push(g_b), out=run.flat)
 

@@ -56,16 +56,9 @@ def canonical_half_modes(d: int, M: int) -> np.ndarray:
     the one whose first nonzero component is positive.  Rows are sorted by
     (max-norm radius, lexicographic order) so that enlarging M only appends.
     """
-    modes = []
-    for k in np.ndindex(*(2 * M + 1,) * d):
-        vec = tuple(int(c) - M for c in k)
-        if all(c == 0 for c in vec):
-            continue
-        first = next(c for c in vec if c != 0)
-        if first > 0:
-            modes.append(vec)
-    modes.sort(key=lambda v: (max(abs(c) for c in v), v))
-    arr = np.array(modes, dtype=np.int64).reshape(len(modes), d)
+    # the block in lexicographic order: the canonical members are the rows after k = 0
+    k = np.indices((2 * M + 1,) * d, np.int64).reshape(d, -1).T[(2 * M + 1) ** d // 2 + 1:] - M
+    arr = k[np.argsort(np.max(np.abs(k), axis=1), kind="stable")]
     arr.flags.writeable = False
     return arr
 
@@ -332,10 +325,11 @@ class GridTransform:
         self._F_half = np.ascontiguousarray(_real_rows(E[:, M:]).T / R)
 
     def plan(self, C: int, from_grid: bool = False, grad: bool = False,
-             B: int = 1, out=None) -> TransformPlan:
+             B: int = 1, out=None, values=None) -> TransformPlan:
         """A new plan of B members of C channels each for _to_grid (with each
-        channel's gradient if grad, its grids written into out if given, see
-        _to_plan), or for _from_grid if from_grid.
+        channel's gradient if grad, and the value grids of the first `values`
+        channels only, its grids written into out if given, see _to_plan), or
+        for _from_grid if from_grid.
 
         The members' grids sit side by side along the last axis, B R points
         long (member b at b R .. b R + R - 1), so that a pointwise product
@@ -345,12 +339,16 @@ class GridTransform:
         per member, of the shape of the one-member plan, so a member's values
         do not depend on B.
         """
-        return self._from_plan(C, B) if from_grid else self._to_plan(C, grad, B, out)
+        if from_grid:
+            return self._from_plan(C, B)
+        return self._to_plan(C, grad, B, out, C if values is None else values)
 
-    def _to_plan(self, C: int, grad: bool, B: int, out=None) -> TransformPlan:
-        """The to-grid plan.  It writes its grids into out (C (1 + d grad), R,
-        ..., R, B R) if given, which must take that shape as a view, else
-        into an array of its own."""
+    def _to_plan(self, C: int, grad: bool, B: int, out, values: int) -> TransformPlan:
+        """The to-grid plan.  With grad, channel c gives its value grid (if
+        c < values), then its d derivatives; without, values must be C.  It
+        writes its grids into out (C (1 + d grad) - C + values, R, ..., R,
+        B R) if given, which must take that shape as a view, else into an
+        array of its own."""
         M, n, R, d, ops = self.M, 2 * self.M + 1, self.R, self.d, []
         shape = (M + 1,) + (n,) * (d - 1)
         stack = np.zeros((B * C,) + shape, np.complex128)
@@ -368,17 +366,25 @@ class GridTransform:
         # the half axis, now last: a real matmul on the interleaved float view
         g = x.shape[1]
         a = x.reshape(B, C, g, -1, M + 1).view(np.float64)
+        n_out = C * (g + grad) - C + values
         if out is None:
-            out = np.empty((C * (g + grad),) + (R,) * (d - 1) + (B * R,))
-        # member b's (C, g + grad) grids of R^(d-1) rows, the rows B R apart
-        o = out.reshape(C, g + grad, R ** (d - 1), B, R).transpose(3, 0, 1, 2, 4)
-        if grad:
-            ops.append(_gemm(a[:, :, :1], self._E_half, o[:, :, :2]))
-            if g > 1:
-                ops.append(_gemm(a[:, :, 1:].reshape(B, C, -1, 2 * M + 2), self._E_half[0],
-                                 o[:, :, 2:].reshape(B, C, -1, R)))
-        else:  # one GEMM per member over the rows of its channels
+            out = np.empty((n_out,) + (R,) * (d - 1) + (B * R,))
+        # member b's grids of R^(d-1) rows, the rows B R apart
+        o = out.reshape(n_out, R ** (d - 1), B, R).transpose(2, 0, 1, 3)
+        if not grad:  # one GEMM per member over the rows of its channels
             ops.append(_gemm(a.reshape(B, -1, 2 * M + 2), self._E_half[0], o.reshape(B, -1, R)))
+            return TransformPlan(stack, tuple(ops), out)
+        # the value so far gives the value grid (channels below `values` only) and
+        # d/dx_0, and the g - 1 >= 1 blocks differentiated already their values
+        at = 0
+        for c, E in (slice(0, values), self._E_half), (slice(values, C), self._E_half[1:]):
+            k, per = c.stop - c.start, len(E) + g - 1
+            if k:
+                oc = o[:, at:at + k * per].reshape(B, k, per, -1, R)
+                ops += [_gemm(a[:, c, :1], E, oc[:, :, :len(E)]),
+                        _gemm(a[:, c, 1:].reshape(B, k, -1, 2 * M + 2), self._E_half[0],
+                              oc[:, :, len(E):].reshape(B, k, -1, R))]
+            at += k * per
         return TransformPlan(stack, tuple(ops), out)
 
     def _from_plan(self, C: int, B: int) -> TransformPlan:

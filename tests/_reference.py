@@ -31,6 +31,11 @@ field.
 detect_blowup reads the first threshold crossing off a record, and
 decay_rate_fit fits an exponential envelope to its L2 norm (the premise of
 the delayed blow-up).
+
+canonical_half_modes_loop and noise_basis_rows build the canonical half
+modes one wavevector at a time and the noise basis one mode at a time;
+spectral.canonical_half_modes and noise.build_noise_basis must reproduce
+them bitwise.
 """
 
 import math
@@ -304,3 +309,23 @@ def decay_rate_fit(traj):
     residual = float(np.sqrt(np.mean((logs - fit) ** 2)))
     K = float(np.exp(intercept) / traj.l2[0])
     return K, float(-slope), residual
+
+
+def canonical_half_modes_loop(d, M):
+    """The canonical member (first nonzero component positive) of each pair
+    {k, -k} on ||k||_inf <= M, sorted by (max-norm radius, lexicographic)."""
+    modes = []
+    for k in np.ndindex(*(2 * M + 1,) * d):
+        vec = tuple(int(c) - M for c in k)
+        if all(c == 0 for c in vec):
+            continue
+        first = next(c for c in vec if c != 0)
+        if first > 0:
+            modes.append(vec)
+    modes.sort(key=lambda v: (max(abs(c) for c in v), v))
+    return np.array(modes, dtype=np.int64).reshape(len(modes), d)
+
+
+def noise_basis_rows(theta):
+    """The q array of a noise basis, build_orthonormal_complement mode by mode."""
+    return np.stack([nm.build_orthonormal_complement(m, theta.d) for m in theta.half_modes])

@@ -315,6 +315,13 @@ class TestCli:
         assert "t_end must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_subnormal_dt_exit_code(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, {"dt": 5e-324, "t_end": 1.0})
+        rc = cli.main(["--out", str(tmp_path / "o"), "simulate", "--config", str(cfg_path)])
+        assert rc == 2
+        assert "exceeds the cap" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_init_beyond_float_exit_code(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {"init": {"mean": 10**400, "delta0": 0.1}})
         rc = cli.main(["--out", str(tmp_path / "o"), "simulate", "--config", str(cfg_path)])

@@ -178,21 +178,22 @@ class TestGridPass:
     # N > M at d = 3: 2M+N+1 = 8 > 3M+1 = 7 sets the grid
     @pytest.mark.parametrize("d,M,N,zeta", [(3, 2, 3, "keller_segel"), (2, 4, 3, "fisher")])
     def test_fused_pass_matches_field_path(self, d, M, N, zeta):
-        cfg = make_cfg(d=d, M=M, b=1.0, noise_N=N, zeta=zeta)
+        # the one forcing back, zeta(u) + T/dt, against the brute-force zeta and
+        # the transport term over dt
+        cfg = make_cfg(d=d, M=M, b=1.0, noise_N=N, zeta=zeta, dt=0.01)
         eng = dyn._Engine(cfg)
         rng = np.random.default_rng(11)
         u = sp.random_field(rng, d, M, 1.0, 1.0, mean=0.6)
-        inc = nm.sample_increments(eng.theta, 0.01, rng)
-        vel = eng.velocity(inc.values[None])[0]
-        z, t = (sp.hermitian_block(a[0]) for a in eng.zeta_block(_half(u)[None], vel))
+        inc = nm.sample_increments(eng.theta, cfg.dt, rng)
+        h = eng.zeta_block(_half(u)[None], eng.velocity(inc.values[None])[0])[0]
         if zeta == "keller_segel":
             ref = _brute_force_keller_segel(u)
-        else:
+        else:  # the pass gives u^2: Fisher's -u is in the linear multiplier
             ref = _dense_product(u.coeffs, u.coeffs) - u.coeffs
-        assert np.max(np.abs(z - ref)) <= 1e-12
-        ref = nm.transport_term(u, eng.theta, nm.build_noise_basis(eng.theta), inc,
-                                nm.amplitude_A(cfg.b, eng.theta))
-        assert np.max(np.abs(t - ref.coeffs)) <= 1e-12
+            h = h - _half(u)
+        ref = ref + nm.transport_term(u, eng.theta, nm.build_noise_basis(eng.theta), inc,
+                                      nm.amplitude_A(cfg.b, eng.theta)).coeffs / cfg.dt
+        assert np.max(np.abs(sp.hermitian_block(h) - ref)) <= 1e-12
 
     @pytest.mark.parametrize("d,zeta", [(2, "fisher"), (3, "keller_segel")])
     def test_constant_field_gives_exact_zeros(self, d, zeta):
@@ -201,7 +202,8 @@ class TestGridPass:
         eng = dyn._Engine(cfg)
         f = sp.constant(d, 3, 0.8)
         dw = nm.sample_increments(eng.theta, 0.01, np.random.default_rng(17)).values
-        transport = eng.zeta_block(_half(f)[None], eng.velocity(dw[None])[0])[1]
+        # the transport alone: the pass at the cut-off's zero
+        transport = eng.zeta_block(_half(f)[None], eng.velocity(dw[None])[0], [0.0])
         lay = eng._lay
         assert all(np.all(g == 0.0) for g in lay.grad_u + lay.grad_c)
         assert np.all(transport == 0.0)
@@ -219,18 +221,48 @@ class TestGridPass:
         rng = np.random.default_rng(12)
         u, v = (_half(sp.random_field(rng, d, 3, 1.0, 1.0, mean=0.6)) for _ in range(2))
         dw_u, dw_v = (nm.sample_increments(eng.theta, 0.01, rng).values[None] for _ in range(2))
+        # the transport over dt: the pass of the noise alone at the amplitude A/dt
+        theta = eng.theta
+        alone = dyn.GridPass(d, 3, noise=[(theta, nm.build_noise_basis(theta),
+                                           nm.amplitude_A(cfg.b, theta) / cfg.dt)])
         # all 8 combinations of block, cut-off (on, at zero) and increments,
         # forward and back, so each input switches in both directions
         calls = [(blk, lval, dw) for blk in (u, v) for lval in (0.7, 0.0) for dw in (dw_u, dw_v)]
         calls += calls[::-1]
         for block, lval, dw in calls:
-            got = [a.copy() for a in eng.drift_block(block[None], [lval], eng.velocity(dw)[0])]
+            got = eng.drift_block(block[None], [lval], eng.velocity(dw)[0]).copy()
             fresh = dyn._Engine(cfg)
-            want = fresh.drift_block(block[None], [lval], fresh.velocity(dw)[0])
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
-            if lval == 0.0:
-                assert np.array_equal(got[0], eng.lin_mult * block)
+            assert np.array_equal(got, fresh.drift_block(block[None], [lval], fresh.velocity(dw)[0]))
+            if lval == 0.0:  # lin u + T/dt
+                t_dt = alone.zeta_block(block[None], alone.velocity(dw)[0])
+                assert np.array_equal(got, eng.lin_mult * block + t_dt)
+
+    @pytest.mark.parametrize("d,zeta", [(2, "fisher"), (3, "keller_segel"), (2, "none")])
+    @pytest.mark.parametrize("lval", [1.0, 0.7, 0.0])
+    def test_forcing_is_lin_plus_cut_zeta_plus_transport_over_dt(self, d, zeta, lval):
+        # G = lin u + lval zeta(u) + T/dt, and the transport never enters G's mean:
+        # it is (lin_0 - lval) u_0 + lval sum |u_k|^2 for Fisher, lin_0 u_0 otherwise
+        cfg = make_cfg(d=d, M=3, b=1.0, noise_N=2, zeta=zeta, dt=0.01)
+        eng = dyn._Engine(cfg)
+        rng = np.random.default_rng(19)
+        u = sp.random_field(rng, d, 3, 1.0, 1.0, mean=0.6)
+        incs = [nm.sample_increments(eng.theta, cfg.dt, rng) for _ in range(2)]
+        g = [eng.drift_block(_half(u)[None], [lval], eng.velocity(inc.values[None])[0])[0].copy()
+             for inc in incs]
+        mean = (0,) + (3,) * (d - 1)
+        assert g[0][mean] == g[1][mean]
+        u0 = u.coeffs[(3,) * d]
+        if zeta == "fisher":
+            want = (eng.lin_mult[0][mean] - lval) * u0 + lval * np.sum(np.abs(u.coeffs) ** 2)
+            assert abs(g[0][mean] - want) <= 1e-15 * abs(want)
+        else:
+            assert g[0][mean] == eng.lin_mult[0][mean] * u0
+        zeta_f = {"fisher": dyn.zeta_fisher, "keller_segel": dyn.zeta_keller_segel}.get(zeta)
+        z = zeta_f(u).coeffs if zeta_f else 0.0
+        t = nm.transport_term(u, eng.theta, nm.build_noise_basis(eng.theta), incs[0],
+                              nm.amplitude_A(cfg.b, eng.theta)).coeffs
+        lin = sp.hermitian_block(eng.lin_mult[0] * _half(u))
+        assert np.max(np.abs(sp.hermitian_block(g[0]) - (lin + lval * z + t / cfg.dt))) <= 1e-12
 
     @pytest.mark.parametrize("d,M,zeta,lvals,Ns", [
         (2, 4, "fisher", [0.7], [2]), (3, 3, "keller_segel", [0.7], [2]), (2, 4, "fisher", [0.0], [2]),
@@ -324,28 +356,37 @@ class TestVelocityBlock:
         for (_, f), (_, g) in zip(rec.snapshots, one.snapshots):
             assert np.array_equal(f.coeffs, g.coeffs)
 
-    @pytest.mark.parametrize("d,M,zeta", [(2, 4, "fisher"), (3, 3, "keller_segel")])
-    def test_steady_block_calls_allocate_no_block(self, d, M, zeta):
-        # integrate's pattern after a warm-up at its K: one velocity pass, then
-        # K grid passes that read their V from it
-        cfg = make_cfg(d=d, M=M, b=1.0, noise_N=2, zeta=zeta)
-        eng = dyn._Engine(cfg)
+    @pytest.mark.parametrize("d,M,zeta,Ns", [
+        (2, 4, "fisher", [2]), (3, 3, "keller_segel", [2]),
+        # the N = 2 member reads a prefix of each step's draw at N = 4
+        (2, 4, "fisher", [2, 4])], ids=["2-4-fisher", "3-3-keller_segel", "2-4-fisher-batch"])
+    def test_steady_block_calls_allocate_no_block(self, d, M, zeta, Ns):
+        # integrate's pattern after a warm-up at its K: one velocity pass over
+        # keyed draws into one buffer, then K grid passes that read their V from it
+        eng = dyn._Engine(*(make_cfg(d=d, M=M, b=1.0, noise_N=N, zeta=zeta) for N in Ns))
         K = eng.K
         rng = np.random.default_rng(16)
-        u = _half(sp.random_field(rng, d, M, 1.0, 1.0, mean=0.6))[None]
-        dws = [np.array([nm.sample_increments(eng.theta, 0.01, rng).values for _ in range(K)])
-               for _ in range(4)]
-        for vel in eng.velocity(dws[0]):
-            eng.drift_block(u, [0.7], vel=vel)
+        one = _half(sp.random_field(rng, d, M, 1.0, 1.0, mean=0.6))
+        u = np.array([one * (1.0 + b) for b in range(len(Ns))])
+        # blocks of increments in the layout of integrate's draw buffer
+        draws = nm.increment_buffer(eng.theta, K)
+        blocks = []
+        for i in range(4):
+            nm.draw_increments(eng.theta, 0.01, [np.random.default_rng([i, k]) for k in range(K)], draws)
+            blocks.append(draws.copy())
+        dw, lvals = draws.view(np.complex128)[..., 0], [0.7] * len(Ns)
+        for vel in eng.velocity(dw):
+            eng.drift_block(u, lvals, vel=vel)
 
         def steady():
-            for dw in dws:
+            for block in blocks:
+                np.copyto(draws, block)
                 for vel in eng.velocity(dw):
-                    eng.drift_block(u, [0.7], vel=vel)
+                    eng.drift_block(u, lvals, vel=vel)
 
         largest, kept = _steady_allocations(steady)
-        assert largest < u.nbytes
-        assert kept < u.nbytes
+        assert largest < one.nbytes
+        assert kept < one.nbytes
 
     @pytest.mark.parametrize("d,M,zeta,Ns", [
         (2, 4, "fisher", [2]), (3, 3, "keller_segel", [2]), (2, 4, "fisher", [2, 4])],
@@ -388,6 +429,9 @@ STAGGERED = dict(b=2.0, S=1e7, dt=1e-4, t_end=0.6, zeta="fisher", seed=2026,
 # M = 8): the members left go on with a smaller theta
 LARGEST_FIRST = dict(M=8, beta=0.9, b=2.0, S=10.0, dt=1e-5, t_end=0.002, zeta="fisher", seed=3,
                      init={"mean": 0.5, "delta0": 0.01})
+# the runs start in the cut-off's zero and leave it at different steps
+CUTOFF = dict(b=1.0, S=0.55, dt=1e-4, t_end=0.03, zeta="fisher", seed=3,
+              init={"mean": 1.5, "delta0": 0.5})
 
 
 class TestBatch:
@@ -410,8 +454,13 @@ class TestBatch:
               init={"mean": 1.0, "delta0": 0.05}, snapshot_stride=4), (2, 4), 1),
         # N = 2 leaves at step 164, N = 1 at step 170
         (LARGEST_FIRST, (2, 1), 3),
+        # the cut-off acts: the members step at their own values in (0, 1), or one
+        # of them at 0 while the other is not
+        (CUTOFF, (2, 1), 0), (dict(CUTOFF, beta=0.95), (2, 1), 0),
+        (dict(CUTOFF, d=3, M=3, t_end=0.01, zeta="keller_segel"), (2, 1), 0),
     ], ids=["delay-s1-r0", "delay-s1-r1", "delay-s2-r0", "delay-s2-r1", "beta0.9",
-            "staggered", "one-survives", "non-finite", "d3-keller-segel", "largest-first"])
+            "staggered", "one-survives", "non-finite", "d3-keller-segel", "largest-first",
+            "cutoff-fisher", "cutoff-beta0.95", "cutoff-d3-keller-segel"])
     def test_members_equal_their_own_runs(self, kw, Ns, run):
         cfgs = [make_cfg(noise_N=N, **kw) for N in Ns]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -431,6 +480,10 @@ class TestBatch:
             assert times[1] < times[2] and (times[0] is None or times[2] < times[0])
         if kw is LARGEST_FIRST:
             assert [len(rec.times) - 1 for rec in batch] == [164, 170]
+        if kw.get("S") == CUTOFF["S"]:
+            pairs = list(zip(batch[0].cutoff, batch[1].cutoff))
+            assert any(0.0 < a != b > 0.0 for a, b in pairs)
+            assert any((a == 0.0) != (b == 0.0) for a, b in pairs)
 
     @pytest.mark.parametrize("d,Ns", [(2, (1, 2, 4)), (3, (1, 2, 3))])
     def test_prefix_draws_equal_own_draws(self, d, Ns):
@@ -451,6 +504,18 @@ class TestBatch:
             lambda dw: drawn.extend([dw.shape[1]] * len(dw)) or dw)(draw(*args)))
         dyn.integrate_batch(cfgs)
         assert drawn == [nm.make_theta_cutoff(4, 2).n_half] * cfgs[0].n_steps
+
+    @pytest.mark.parametrize("zeta", dyn.ZETA_KINDS)
+    def test_one_transform_back_per_step(self, zeta, monkeypatch):
+        # the nonlinearity and the transport come back summed, in one channel
+        cfg = make_cfg(b=1.0, noise_N=2, zeta=zeta, dt=1e-4, t_end=3e-3,
+                       init={"mean": 0.5, "delta0": 0.01})
+        channels = []
+        from_grid = dyn._Engine._from_grid
+        monkeypatch.setattr(dyn._Engine, "_from_grid", lambda eng, plan: channels.append(
+            len(plan.input)) or from_grid(eng, plan))
+        dyn.integrate(cfg)
+        assert channels == [1] * cfg.n_steps
 
     def test_refuses_configs_that_differ_in_more_than_the_noise(self):
         cfg = make_cfg(M=4, b=1.0, noise_N=2)
@@ -498,6 +563,12 @@ class TestConfigValidation:
     def test_step_cap(self):
         with pytest.raises(InvalidParameterError, match="cap"):
             make_cfg(dt=1e-7, t_end=1.0)
+
+    @pytest.mark.parametrize("dt", [5e-324, 1e-310])
+    def test_subnormal_dt_refused_by_the_step_cap(self, dt):
+        # t_end/dt is inf or beyond any int a float rounds to without overflow
+        with pytest.raises(InvalidParameterError, match="cap"):
+            make_cfg(dt=dt, t_end=1.0)
 
     def test_history_footprint_at_step_cap(self):
         # d=3, M=8 at the step cap: a dense history would take 1e5 x 17^3 x 16 B = 7.9 GB

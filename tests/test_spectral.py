@@ -201,6 +201,14 @@ class TestGridTransforms:
                 ref = np.moveaxis(sp.to_grid(g, resolution=R).values, 0, -1)
                 err = np.max(np.abs(got[i * (d + 1) + a] - ref))
                 assert err <= 1e-13 * np.max(np.abs(ref)), (i, a)
+        # the Keller-Segel layout of the grid pass: c's gradient without its value grid
+        for B in (1, 3):
+            lean = t.plan(2, grad=True, B=B, values=1)
+            lean.input[:] = np.tile(plan.input, (B,) + (1,) * d)
+            grids = t._to_grid(lean)
+            assert grids.shape == (2 * d + 1,) + (R,) * (d - 1) + (B * R,)
+            for b in range(B):
+                assert np.array_equal(grids[..., b * R:(b + 1) * R], np.delete(got, d + 1, axis=0)), B
 
     @pytest.mark.parametrize("d,M,R", [(2, 4, 13), (3, 3, 10)])
     @pytest.mark.parametrize("grad", [False, True])
