@@ -514,7 +514,7 @@ class GridPass(sp.GridTransform):
         self._tmp = np.empty((R,) * (d - 1) + (B * R,))  # the grid product temporary
         self._lay = None  # nothing to compute on the grid
         if zeta != "none" or noise_on:
-            to = self.plan(1 + ks, grad=ks or noise_on, B=B, values=1)
+            to = self.plan(1 + ks, grad=ks or noise_on, B=B)
             back = self.plan(1, from_grid=True, B=B)
             g, cols = tuple(to.output), [(..., slice(b * R, (b + 1) * R)) for b in range(B)]
             p = back.input[0]
@@ -525,13 +525,6 @@ class GridPass(sp.GridTransform):
                 mean=back.output[self._mean], mean_re=back.output[self._mean].real,
                 # each member's columns of the temporary and of w: filled one by one
                 tmp_m=[self._tmp[c] for c in cols], p_m=[p[c] for c in cols])
-            if zeta == "fisher" and noise_on:
-                # each member's sum |u_k|^2 (Parseval: the grid mean of u^2), (x*x) @ w on the
-                # interleaved floats x of its input, a row with k_0 > 0 counting its mirror
-                lay, w = self._lay, np.repeat(np.arange(self.ksq.size) >= self.ksq[0].size, 2) + 1.0
-                lay.x = to.input.reshape(B, -1).view(np.float64)
-                lay.xsq, lay.sums = np.empty_like(lay.x), np.empty((B, 1, 1))
-                lay.l2sq = sp._gemm(lay.xsq[:, None], w[:, None], lay.sums)
 
     def velocity(self, dw: np.ndarray) -> list:
         """Point values of V for the increments dw (k <= K, n_half, d-1) of k steps.
@@ -547,7 +540,7 @@ class GridPass(sp.GridTransform):
             v.velocity(dw)
         return self._steps[:len(dw)]
 
-    def zeta_block(self, blocks: np.ndarray, vel=None, lvals=None) -> np.ndarray:
+    def zeta_block(self, blocks: np.ndarray, vel=None, lvals=None, l2sq=None) -> np.ndarray:
         """Pi_M w of the members' half blocks (B, M+1, n, ...), stacked likewise
         (see GridTransform.plan for the members' grids).
 
@@ -558,8 +551,10 @@ class GridPass(sp.GridTransform):
         u is exactly 0 for a constant u, and its mean, zero analytically
         (q.m = 0), never enters the output's: that is exactly 0 for
         Keller-Segel and "none" (a divergence), and for Fisher with the noise
-        on lval sum |u_k|^2 (the grid mean of lval u^2, by Parseval).  The
-        output is a view of a work array that the next call overwrites.
+        on lval l2sq, where l2sq lists the members' sum |u_k|^2 over the full
+        block (the grid mean of u^2, by Parseval; integrate has it from the
+        step's norms).  The output is a view of a work array that the next
+        call overwrites.
         """
         lay = self._lay
         u, p, tmp = lay.u, lay.p, self._tmp
@@ -577,20 +572,15 @@ class GridPass(sp.GridTransform):
             # rho (rho - mean rho) + grad rho . (V - grad c), c scaled by lval above
             for t, mean in zip(lay.tmp_m, blocks[self._mean].real):
                 t.fill(mean)
-            np.subtract(u, tmp, out=tmp)
-            if some:  # the weights in p, 1 at lval 0 (its f is left out below)
-                for c, lval in zip(lay.p_m, lvals):
-                    c.fill(lval or 1.0)
-                tmp *= p
-            np.multiply(u, tmp, out=p)
+            np.multiply(u, np.subtract(u, tmp, out=tmp), out=p)
         elif self.zeta == "fisher":
             np.multiply(u, u, out=p)
-            if some:  # the weights in tmp
-                for c, lval in zip(lay.tmp_m, lvals):
-                    c.fill(lval or 1.0)
-                p *= tmp
         else:
             p.fill(0.0)
+        if some:  # the weights in tmp, 1 at lval 0 (its f is left out below)
+            for t, lval in zip(lay.tmp_m, lvals):
+                t.fill(lval or 1.0)
+            p *= tmp
         for pm, lval in zip(lay.p_m, lvals or ()):
             if lval == 0.0:
                 pm.fill(0.0)
@@ -608,14 +598,8 @@ class GridPass(sp.GridTransform):
         if self.zeta != "fisher":
             lay.mean.fill(0.0)
         elif vel is not None:
-            np.multiply(lay.x, lay.x, out=lay.xsq)
-            op, args = lay.l2sq
-            op(*args)
-            if lvals is None:
-                np.copyto(lay.mean_re, lay.sums[:, 0, 0])
-            else:
-                for b, lval in enumerate(lvals):
-                    lay.mean_re[b] = lval * lay.sums[b, 0, 0] if lval else 0.0
+            for b, (lval, sq) in enumerate(zip(lvals or [1.0] * len(l2sq), l2sq)):
+                lay.mean_re[b] = lval * sq
         return lay.h
 
 
@@ -653,10 +637,11 @@ class _Engine(GridPass):
         w[1:] *= 2.0
         self.norm_w = np.repeat(w.reshape(-1, 3), 2, axis=0)
 
-    def drift_block(self, blocks: np.ndarray, lvals: list, vel=None) -> np.ndarray:
+    def drift_block(self, blocks: np.ndarray, lvals: list, vel=None, l2sq=None) -> np.ndarray:
         """The forcing G = lin u + lval zeta(u) + transport/dt of the members'
         half blocks (B, M+1, n, ...) at their cut-off values lvals (a list),
-        for this step's vel (see zeta_block).
+        for this step's vel and, for Fisher with the noise on, the members'
+        l2sq (see zeta_block).
 
         Fisher's -lval u is part of the multiplier: lin - 1 where every lval
         is 1, else lin - lval on each member's row.  A member at lval == 0
@@ -672,7 +657,7 @@ class _Engine(GridPass):
                 np.subtract(lin, lval, out=row)
         out = np.multiply(mult, blocks, out=self._drift)
         if vel is not None or (self.zeta != "none" and lvals.count(0.0) < len(lvals)):
-            out += self.zeta_block(blocks, vel, None if full else lvals)
+            out += self.zeta_block(blocks, vel, None if full else lvals, l2sq)
         return out
 
 
@@ -776,7 +761,7 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
         t_n = n * dt
         np.multiply(x, x, out=xsq)
         norms(*norm_args)
-        lvals = []
+        lvals, sqs = [], []
         for run, (l2sq, hs_sq, hneg_sq), mean in zip(live, nrm.tolist(), means):
             l2_n = math.sqrt(l2sq)
             if not math.isfinite(l2_n):
@@ -791,6 +776,7 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
                 run.n_rec, run.blowup_time = n + 1, t_n
                 continue
             lvals.append(lval)
+            sqs.append(l2sq)
         if len(lvals) < len(live):  # runs that blew up leave the stack with their records
             keep = [b for b, run in enumerate(live) if run.blowup_time is None]
             if not keep:
@@ -813,7 +799,7 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
                 vels, k_next = eng.velocity(dw), 0
             vel = vels[k_next]
             k_next += 1
-        g = eng.drift_block(u, lvals, vel)
+        g = eng.drift_block(u, lvals, vel, sqs)
         if classical:
             u += np.multiply(dt, g, out=g)
         else:  # u_{n+1} = u_0 + sum_{k<=n} c_{n+1-k} G_k

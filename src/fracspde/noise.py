@@ -172,13 +172,9 @@ class NoiseBasis:
 
 
 def build_noise_basis(theta: ThetaSequence) -> NoiseBasis:
-    """build_orthonormal_complement of every half mode: at once in 2D (the
-    rows are canonical already), row by row in 3D."""
-    if theta.d == 2:
-        c = theta.half_modes / np.linalg.norm(theta.half_modes.astype(np.float64), axis=1)[:, None]
-        q = np.stack([-c[:, 1], c[:, 0]], axis=1)[:, None]
-    else:
-        q = np.stack([build_orthonormal_complement(m, 3) for m in theta.half_modes])
+    q = np.stack(
+        [build_orthonormal_complement(m, theta.d) for m in theta.half_modes]
+    )
     return NoiseBasis(d=theta.d, half_modes=theta.half_modes, q=q)
 
 

@@ -32,10 +32,8 @@ detect_blowup reads the first threshold crossing off a record, and
 decay_rate_fit fits an exponential envelope to its L2 norm (the premise of
 the delayed blow-up).
 
-canonical_half_modes_loop and noise_basis_rows build the canonical half
-modes one wavevector at a time and the noise basis one mode at a time;
-spectral.canonical_half_modes and noise.build_noise_basis must reproduce
-them bitwise.
+canonical_half_modes_loop builds the canonical half modes one wavevector
+at a time; spectral.canonical_half_modes must reproduce it bitwise.
 """
 
 import math
@@ -325,7 +323,3 @@ def canonical_half_modes_loop(d, M):
     modes.sort(key=lambda v: (max(abs(c) for c in v), v))
     return np.array(modes, dtype=np.int64).reshape(len(modes), d)
 
-
-def noise_basis_rows(theta):
-    """The q array of a noise basis, build_orthonormal_complement mode by mode."""
-    return np.stack([nm.build_orthonormal_complement(m, theta.d) for m in theta.half_modes])

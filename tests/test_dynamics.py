@@ -128,6 +128,12 @@ def _half(f: sp.SpectralField) -> np.ndarray:
     return np.ascontiguousarray(f.coeffs[f.M:])
 
 
+def _l2sq(blocks) -> list:
+    """Each half block's sum |u_k|^2 over its full block: the squared L2 norm
+    integrate hands the grid pass for Fisher's mean."""
+    return [float(np.sum(np.abs(sp.hermitian_block(b)) ** 2)) for b in blocks]
+
+
 def _steady_allocations(steady) -> tuple:
     """(largest, kept): the most memory one bytecode instruction of fracspde
     allocated during steady(), beyond what was live when it began, and the
@@ -185,7 +191,8 @@ class TestGridPass:
         rng = np.random.default_rng(11)
         u = sp.random_field(rng, d, M, 1.0, 1.0, mean=0.6)
         inc = nm.sample_increments(eng.theta, cfg.dt, rng)
-        h = eng.zeta_block(_half(u)[None], eng.velocity(inc.values[None])[0])[0]
+        h = eng.zeta_block(_half(u)[None], eng.velocity(inc.values[None])[0],
+                           l2sq=_l2sq([_half(u)]))[0]
         if zeta == "keller_segel":
             ref = _brute_force_keller_segel(u)
         else:  # the pass gives u^2: Fisher's -u is in the linear multiplier
@@ -203,7 +210,8 @@ class TestGridPass:
         f = sp.constant(d, 3, 0.8)
         dw = nm.sample_increments(eng.theta, 0.01, np.random.default_rng(17)).values
         # the transport alone: the pass at the cut-off's zero
-        transport = eng.zeta_block(_half(f)[None], eng.velocity(dw[None])[0], [0.0])
+        transport = eng.zeta_block(_half(f)[None], eng.velocity(dw[None])[0], [0.0],
+                                   _l2sq([_half(f)]))
         lay = eng._lay
         assert all(np.all(g == 0.0) for g in lay.grad_u + lay.grad_c)
         assert np.all(transport == 0.0)
@@ -230,9 +238,11 @@ class TestGridPass:
         calls = [(blk, lval, dw) for blk in (u, v) for lval in (0.7, 0.0) for dw in (dw_u, dw_v)]
         calls += calls[::-1]
         for block, lval, dw in calls:
-            got = eng.drift_block(block[None], [lval], eng.velocity(dw)[0]).copy()
+            sq = _l2sq([block])
+            got = eng.drift_block(block[None], [lval], eng.velocity(dw)[0], sq).copy()
             fresh = dyn._Engine(cfg)
-            assert np.array_equal(got, fresh.drift_block(block[None], [lval], fresh.velocity(dw)[0]))
+            assert np.array_equal(got, fresh.drift_block(block[None], [lval], fresh.velocity(dw)[0],
+                                                         sq))
             if lval == 0.0:  # lin u + T/dt
                 t_dt = alone.zeta_block(block[None], alone.velocity(dw)[0])
                 assert np.array_equal(got, eng.lin_mult * block + t_dt)
@@ -247,8 +257,8 @@ class TestGridPass:
         rng = np.random.default_rng(19)
         u = sp.random_field(rng, d, 3, 1.0, 1.0, mean=0.6)
         incs = [nm.sample_increments(eng.theta, cfg.dt, rng) for _ in range(2)]
-        g = [eng.drift_block(_half(u)[None], [lval], eng.velocity(inc.values[None])[0])[0].copy()
-             for inc in incs]
+        g = [eng.drift_block(_half(u)[None], [lval], eng.velocity(inc.values[None])[0],
+                             [np.sum(np.abs(u.coeffs) ** 2)])[0].copy() for inc in incs]
         mean = (0,) + (3,) * (d - 1)
         assert g[0][mean] == g[1][mean]
         u0 = u.coeffs[(3,) * d]
@@ -278,11 +288,12 @@ class TestGridPass:
         one = _half(sp.random_field(rng, d, M, 1.0, 1.0, mean=0.6))
         u = np.array([one * (1.0 + b) for b in range(len(Ns))])
         dws = [nm.sample_increments(eng.theta, 0.01, rng).values[None] for _ in range(50)]
-        eng.drift_block(u, lvals, eng.velocity(dws[0])[0])
+        sqs = _l2sq(u)
+        eng.drift_block(u, lvals, eng.velocity(dws[0])[0], sqs)
 
         def steady():
             for dw in dws:
-                eng.drift_block(u, lvals, eng.velocity(dw)[0])
+                eng.drift_block(u, lvals, eng.velocity(dw)[0], sqs)
 
         largest, kept = _steady_allocations(steady)
         assert largest < one.nbytes
@@ -374,15 +385,15 @@ class TestVelocityBlock:
         for i in range(4):
             nm.draw_increments(eng.theta, 0.01, [np.random.default_rng([i, k]) for k in range(K)], draws)
             blocks.append(draws.copy())
-        dw, lvals = draws.view(np.complex128)[..., 0], [0.7] * len(Ns)
+        dw, lvals, sqs = draws.view(np.complex128)[..., 0], [0.7] * len(Ns), _l2sq(u)
         for vel in eng.velocity(dw):
-            eng.drift_block(u, lvals, vel=vel)
+            eng.drift_block(u, lvals, vel, sqs)
 
         def steady():
             for block in blocks:
                 np.copyto(draws, block)
                 for vel in eng.velocity(dw):
-                    eng.drift_block(u, lvals, vel=vel)
+                    eng.drift_block(u, lvals, vel, sqs)
 
         largest, kept = _steady_allocations(steady)
         assert largest < one.nbytes
