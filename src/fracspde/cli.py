@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -112,6 +113,8 @@ def _parse_rhs(spec: str):
         return lambda x: x * x - x
     if spec.startswith("linear:"):
         lam = float(spec.split(":", 1)[1])
+        if not math.isfinite(lam):
+            raise argparse.ArgumentTypeError(f"linear rate must be finite, got {lam}")
         return lambda x: lam * x
     raise argparse.ArgumentTypeError(f"unknown rhs {spec!r}; use 'fisher' or 'linear:<lam>'")
 

@@ -11,13 +11,15 @@ Time stepping is the explicit Volterra-Euler recursion
 with w[n][k] = c_{n-k} of fractional.kernel_increments, one Brownian path
 per trajectory (the increments of step k are reused by every later n).  The
 two terms share their weight, so a step forms their sum G_k once: the linear
-part in coefficient space, and zeta plus the transport over dt as one grid
-sum, lval f(u) + (V/dt).grad u, brought back by one transform (see
-GridPass); at beta = 1 the update is u += dt G_k.  The transport velocity
-V_k depends on the increments of step k alone, not on u, so integrate draws
-the increments of the next K steps (each step from its own keyed stream) and
-turns them into point values of V in one pass; each step's grid pass then
-reads its own V from that block.  The history sum is kept by
+part in coefficient space, and zeta plus the transport over dt in one grid
+pass (see GridPass), brought back by one transform: for Fisher and "none" the
+grid sum lval f(u) + (V/dt).grad u, for Keller-Segel the d fluxes rho' W of
+the divergence form, W = V/dt - lval grad c; at beta = 1 the update is
+u += dt G_k.  The transport velocity V_k depends on the increments of step k
+alone, not on u, so integrate draws the increments of the next K steps (each
+step from its own keyed stream) and turns them into V in one pass, point
+values or, for Keller-Segel, coefficients; each step's grid pass then reads
+its own V from that block.  The history sum is kept by
 fractional.VolterraHistory: exact weights for the newest lags, a
 sum-of-exponentials fold of the tail, so a step costs O((window + K) P) and the
 memory does not grow with the step count.  At beta = 1 the weights are
@@ -36,7 +38,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
@@ -54,7 +56,8 @@ ZETA_KINDS = ("fisher", "keller_segel", "none")
 MAX_STEPS = 100_000
 
 #: bytes of a member's V in an engine's block of K = max(1, B // (8 d R^d)) steps
-#: of point values (24 at d=2, M=4; 6 at d=2, M=8; 1 at d=3, M=8)
+#: of point values (24 at d=2, M=4; 6 at d=2, M=8; 1 at d=3, M=8); Keller-Segel's
+#: block of the same K holds V's coefficients, fewer bytes
 VELOCITY_BLOCK_BYTES = 1 << 16
 
 DEFAULT_GAMMA = 0.1
@@ -377,19 +380,19 @@ class TrajectoryRecord:
         }
 
 
-class _Velocity(sp.GridTransform):
-    """Point values of one noise's velocity V = A sum theta_m dW^{m,j} q_{m,j}
-    e^{2 pi i m.x} on R points per axis, for up to K steps in one pass.
-
-    V lives on ||m||_inf <= N, so it has its own transform, whose work arrays
-    never alias those of the grid pass.  Its half is written from the modes
-    with m_0 >= 0, in the rotated axis order of the plans.
+class _Velocity:
+    """The coefficients of one noise's velocity V = A sum theta_m dW^{m,j}
+    q_{m,j} e^{2 pi i m.x} for up to K steps in one pass, written from the
+    modes with m_0 >= 0 into a half block on ||m||_inf <= L (L >= N, the
+    noise's radius): the input of a transform of its own for the advective
+    pass, which it runs after each scatter, or Keller-Segel's block of W.
     """
 
-    def __init__(self, d: int, R: int, noise, K: int, n: int, out: np.ndarray):
+    def __init__(self, d: int, noise, K: int, n: int, block: np.ndarray, transform=None):
         """noise is the (theta, basis, A) of the transport term, n >= its n_half
         the modes of each step of the draw (the batch's largest noise); the
-        point values of K steps go to out (K d, R, ..., R).
+        coefficients of K steps go to block (K d, L+1, 2L+1, ..., 2L+1), whose
+        entries off the support stay zero.
 
         (V_m, V_{-m}) of step k sit in row k of pm (2, d, K, n), and q is tiled
         K times, zero beyond n_half and stored complex, so that each product is
@@ -397,39 +400,37 @@ class _Velocity(sp.GridTransform):
         broadcast, a cast, or rows it cannot run as one strided line.  The
         one-step index tables are moved to each step's rows and channels.
         """
-        self.theta, basis, A = noise
-        half, nh = self.theta.half_modes, self.theta.n_half
-        N = int(np.max(np.abs(half)))
-        super().__init__(d, N, R)
-        self._plan, self._n = self.plan(K * d, out=out), n
+        theta, basis, A = noise
+        half, nh, L = theta.half_modes, theta.n_half, block.shape[1] - 1
+        self._n, self._transform = n, transform
         # V_m[a] = sum_j q[j, a, m] dW^{m,j}
         q = np.zeros((d - 1, d, K, n), np.complex128)
-        q[..., :nh] = ((A * self.theta.half_values) * basis.q.transpose(1, 2, 0))[:, :, None]
+        q[..., :nh] = ((A * theta.half_values) * basis.q.transpose(1, 2, 0))[:, :, None]
         # the modes m of V_m and -m of V_{-m} = conj(V_m) with a first component >= 0
         # (both of a pair with m_0 = 0): flat positions in one step's (V_m, V_{-m})
-        # rows (2, d, n_half) and in its d channels of V's half input, which is zero
-        # off the support.  Selected in Python: np.nonzero would fault in 64 kB more
-        # of numpy's code, in every process, for a few hundred modes
+        # rows (2, d, n_half) and in its d channels of the block.  Selected in
+        # Python: np.nonzero would fault in 64 kB more of numpy's code, in every
+        # process, for a few hundred modes
         pos, neg = (np.array([i for i, m in enumerate(half.tolist()) if sign * m[0] >= 0],
                              np.int64) for sign in (1, -1))
         comp, k = np.arange(d)[:, None], np.arange(K)[:, None]
         src = np.concatenate([comp * nh + pos, (d + comp) * nh + neg], axis=1).ravel()
-        at = np.concatenate([half[pos], -half[neg]]) + N
-        at[:, 0] -= N
-        shape = (d, N + 1) + (2 * N + 1,) * (d - 1)
+        at = np.concatenate([half[pos], -half[neg]]) + L
+        at[:, 0] -= L
+        shape = (d, L + 1) + (2 * L + 1,) * (d - 1)
         at = np.ravel_multi_index(np.broadcast_arrays(comp, *at.T), shape).ravel()
         self._src = ((src // nh * K + k) * n + src % nh).ravel()
-        self._at = (k * self._plan.input[:d].size + at).ravel()
+        self._at = (k * block[:d].size + at).ravel()
         pm = np.zeros((2, d, K, n), np.complex128)
         self._rows = [list(zip(qj, *pm)) for qj in q]
         self._pm, self._pm_flat = tuple(pm), pm.reshape(-1)
         self._kept = np.empty(len(self._src), np.complex128)
-        self._flat = self._plan.input.reshape(-1)
+        self._flat = block.reshape(-1)
 
     def velocity(self, dw: np.ndarray):
-        """V of the first len(dw) <= K steps of out, from the first n rows of
-        each step of dw (len(dw), >= n, d-1).  The row products cover those
-        steps; the scatter and the transform run over the block."""
+        """V of the first len(dw) <= K steps of the block, from the first n
+        rows of each step of dw (len(dw), >= n, d-1).  The row products cover
+        those steps; the scatter and the transform run over the block."""
         k, n = len(dw), self._n
         for j, rows in enumerate(self._rows):
             for q, v, tmp in rows:  # no view of dw outlives this: it would add to every peak
@@ -440,7 +441,8 @@ class _Velocity(sp.GridTransform):
         np.conjugate(*self._pm)
         self._pm_flat.take(self._src, 0, self._kept, "clip")
         self._flat[self._at] = self._kept
-        self._to_grid(self._plan)
+        if self._transform is not None:
+            self._transform()
 
 
 def _grid_size(M: int, N: int) -> int:
@@ -451,44 +453,49 @@ def _grid_size(M: int, N: int) -> int:
 
 class GridPass(sp.GridTransform):
     """Pi_M w, w = lval f(u) + V.grad u, from one grid pass for a stack of
-    members: f is u^2 for Fisher (its -u is linear, left to the caller),
-    rho (rho - mean rho) - grad rho . grad c with -Laplace c = rho - mean rho
-    for Keller-Segel, 0 for "none"; V is the noise's velocity at the
-    amplitude given, lval each member's cut-off value.
+    members: V is the noise's velocity at the amplitude given, lval each
+    member's cut-off value.  The grids have R = max(3M+1, 2M+N+1) points per
+    axis, where no product aliases onto ||k||_inf <= M (the 2/3 rule), in the
+    rotated axis order (x_1, ..., x_{d-1}, x_0) of the plans.  Every block is
+    a half block (k_0 = 0..M first, see GridTransform), and the k_0 = 0 plane
+    of an output is not symmetrized (the inverse transform reads only its
+    Hermitian part).
 
-    One inverse transform takes u (and c of Keller-Segel) to the point values
-    of u, grad u (and grad c, without c's value grid) on R = max(3M+1, 2M+N+1)
-    points per axis, where no product aliases onto ||k||_inf <= M (the 2/3
-    rule): the gradients come from the differentiated DFT matrices of a grad
-    plan (see GridTransform), so the value and the gradient share one
-    transform.  w comes back in one forward transform of one channel.  Every
-    block is a half block (k_0 = 0..M first, see GridTransform): the input
-    u, the multipliers, the channels and the outputs, whose k_0 = 0 plane is
-    not symmetrized (the inverse transform reads only its Hermitian part).
-    Every grid, V's included, is in the rotated axis order
-    (x_1, ..., x_{d-1}, x_0) of the plans.
+    Fisher (f = u^2, its -u linear and left to the caller) and "none" (f = 0)
+    take the advective form: a grad plan (see GridTransform) gives u and
+    grad u, w is summed on the grid and comes back in one channel.  A
+    member's lval scales its grid columns through a grid of weights.
+    Keller-Segel, f = -div(rho grad c) with -Laplace c = rho' = rho - mean
+    rho, takes the divergence form, as V.grad rho = div(rho V) (q.m = 0) and
+    div(mean(rho) grad c) = -mean(rho) rho':
+
+        w = lval mean(rho) rho' + div(rho' W),   W = V - lval grad c.
+
+    W is put together in coefficient space on the block of L = max(M, N),
+    one plain transform takes rho' and W to the grid, the d fluxes rho' W_a
+    come back in one transform, and the divergence is a multiplier.  A
+    constant rho gives exactly 0 (rho' = 0), and the mean mode of w is
+    exactly 0 (k = 0 and rho'_0 = 0); lval acts in coefficient space only.
 
     The members of a pass differ in their noise only (a batch, see
     integrate_batch); each has its own _Velocity, and the pass runs over
     their stacked blocks (B, M+1, n, ...) with B times the channels of one
-    member, in plans whose GEMMs have the one-member shapes.  V does not
-    depend on u, so velocity() builds it for a block of up to K steps, each
-    member's into its columns of one stack, and a grid pass takes one step's
-    V of every member from it (vel).  Each pass has one layout, K included,
-    fixed at construction by the zeta kind and its members: it does not
-    change with the cut-off values, and members that leave a batch go on in
-    a new pass.  A member's lval scales its own blocks, and its grid columns
-    through a full grid of weights filled column by column: numpy takes
-    buffers for a broadcast, a cast or an operation on one member's columns,
-    not for a fill.
+    member, in plans whose GEMMs have the one-member shapes (the members of
+    one grid share L: their N are all at most M, or all equal).  V does not
+    depend on u, so velocity() builds it for a block of up to K steps, and a
+    grid pass takes one step's V of every member from it (vel).  Each pass
+    has one layout, K included, fixed at construction by the zeta kind and
+    its members; members that leave a batch go on in a new pass.  numpy
+    takes buffers for a broadcast, a cast or an operation on one member's
+    columns, not for a fill, so member-wise steps are fills or calls on
+    whole rows.
     """
 
     def __init__(self, d: int, M: int, zeta: str = "none", noise=None):
         """noise is None (the noise off, one member) or a list with the
-        (theta, basis, A) of each member's transport term.  The work arrays
-        are those of these members: u, grad u [grad c] of each member on the
-        grid, w and the forcing back."""
-        N = 0 if noise is None else max(int(np.max(np.abs(n[0].half_modes))) for n in noise)
+        (theta, basis, A) of each member's transport term."""
+        radii = [int(np.max(np.abs(n[0].half_modes))) for n in noise or ()]
+        N = max(radii, default=0)
         super().__init__(d, M, _grid_size(M, N))
         # the mean mode and the multipliers on the half block
         self.zeta, self.center = zeta, (0,) + (M,) * (d - 1)
@@ -496,45 +503,76 @@ class GridPass(sp.GridTransform):
         self.ksq = sp._ksq_grid(d, M)[M:]
         self.lap = 4.0 * np.pi**2 * self.ksq
         ks, noise_on = zeta == "keller_segel", noise is not None
-        if ks:
-            self.inv_lap = np.divide(1.0, self.lap, out=np.zeros_like(self.lap),
-                                     where=self.ksq > 0.0).astype(np.complex128)
-        B, R, self.theta = 1, self.R, None
+        B, R, L, self.theta = 1, self.R, max(M, N), None
         if noise_on:
-            # the members' V of K steps (a member's fit VELOCITY_BLOCK_BYTES) in one
-            # stack (K, d, R, ..., R, B R), member b's velocity pass writing its columns
+            # the members' V of K steps (a member's grids fit VELOCITY_BLOCK_BYTES)
             B, self.K = len(noise), max(1, VELOCITY_BLOCK_BYTES // (8 * d * R**d))
             # the largest noise: the support of the batch's draw
             self.theta = max((n[0] for n in noise), key=lambda t: t.n_half)
-            V = np.empty((self.K, d) + (R,) * (d - 1) + (B * R,))
-            self._vels = [_Velocity(d, R, n, self.K, self.theta.n_half, V[..., b * R:(b + 1) * R]
-                                    .reshape((self.K * d,) + (R,) * d)) for b, n in enumerate(noise)]
-            self._steps = [tuple(V[k]) for k in range(self.K)]  # step k's (V_1, ..., V_d)
+            nh = self.theta.n_half
+            if ks:  # coefficients on the block of L, member b's K steps in row b
+                V = np.zeros((B, self.K * d, L + 1) + (2 * L + 1,) * (d - 1), np.complex128)
+                self._vels = [_Velocity(d, n, self.K, nh, V[b]) for b, n in enumerate(noise)]
+                V = V.reshape((B, self.K, d) + V.shape[2:])
+                self._steps = [V[:, k] for k in range(self.K)]
+            else:  # point values (K, d, R, ..., R, B R), member b's in its columns
+                V = np.empty((self.K, d) + (R,) * (d - 1) + (B * R,))
+                self._vels = []
+                for b, (n, Nb) in enumerate(zip(noise, radii)):
+                    t = sp.GridTransform(d, Nb, R)
+                    plan = t.plan(self.K * d, out=V[..., b * R:(b + 1) * R].reshape(
+                        (self.K * d,) + (R,) * d))
+                    self._vels.append(_Velocity(d, n, self.K, nh, plan.input,
+                                                partial(t._to_grid, plan)))
+                self._steps = [tuple(V[k]) for k in range(self.K)]  # step k's (V_1, ..., V_d)
         self._drift = np.empty((B,) + self.ksq.shape, np.complex128)
-        self._tmp = np.empty((R,) * (d - 1) + (B * R,))  # the grid product temporary
         self._lay = None  # nothing to compute on the grid
-        if zeta != "none" or noise_on:
-            to = self.plan(1 + ks, grad=ks or noise_on, B=B)
+        if ks:
+            self._lay = self._flux_layout(B, L)
+        elif zeta != "none" or noise_on:
+            to = self.plan(1, grad=noise_on, B=B)
             back = self.plan(1, from_grid=True, B=B)
-            g, cols = tuple(to.output), [(..., slice(b * R, (b + 1) * R)) for b in range(B)]
-            p = back.input[0]
+            tmp = np.empty((R,) * (d - 1) + (B * R,))  # the grid product temporary
+            cols, p = [(..., slice(b * R, (b + 1) * R)) for b in range(B)], back.input[0]
             self._lay = SimpleNamespace(
-                to=to, back=back, ks=ks, chan=tuple(to.input[c::1 + ks] for c in range(1 + ks)),
-                u=g[0], grad_u=g[1:d + 1], grad_c=g[d + 1:], p=p, h=back.output,
-                # the members' mean modes of the forcing
-                mean=back.output[self._mean], mean_re=back.output[self._mean].real,
+                to=to, back=back, u=to.output[0], grad_u=to.output[1:], p=p, tmp=tmp,
+                h=back.output, mean=back.output[self._mean],
+                mean_re=back.output[self._mean].real,
                 # each member's columns of the temporary and of w: filled one by one
-                tmp_m=[self._tmp[c] for c in cols], p_m=[p[c] for c in cols])
+                tmp_m=[tmp[c] for c in cols], p_m=[p[c] for c in cols])
+
+    def _flux_layout(self, B: int, L: int) -> SimpleNamespace:
+        """Keller-Segel's plans and work arrays: rho' and W of each member on
+        the block of L, to the grid in one plan; the d fluxes back in one."""
+        d, M, R, half = self.d, self.M, self.R, self.ksq.shape
+        to = (self if L == M else sp.GridTransform(d, L, R)).plan(1 + d, B=B)
+        back = self.plan(d, from_grid=True, B=B)
+        x = to.input.reshape((B, 1 + d) + to.input.shape[1:])  # member-major channels
+        mid = (slice(None), slice(0, M + 1)) + (slice(L - M, L + M + 1),) * (d - 1)
+        ik = np.stack([sp.TWO_PI * 1j * g[M:] for g in sp._mode_grids(d, M)])
+        grad_c = -ik * np.divide(1.0, self.lap, out=np.zeros_like(self.lap), where=self.ksq > 0.0)
+        W = x[:, 1:]
+        # -lval grad c of each member: in W itself, or copied to M's block of a
+        # zeroed block of L and added to V (a ufunc on a block inside W takes buffers)
+        gc = W if L == M else np.empty((B, d) + half, np.complex128)
+        gc_L = None if L == M else np.zeros_like(W)
+        return SimpleNamespace(
+            to=to, back=back, rho=x[:, 0][mid], rho_mean=x[(slice(None), 0, 0) + (L,) * (d - 1)],
+            W=W, gc=gc, gc_L=gc_L, gc_mid=None if L == M else gc_L[(slice(None),) + mid],
+            gc_rows=[list(zip(grad_c, g)) for g in gc],  # rho_b times -ik_a / |2 pi k|^2
+            prods=list(zip(to.output[1:], back.input)), rho_grid=to.output[0],
+            div=list(zip(back.output.reshape((d, B) + half), np.repeat(ik[:, None], B, axis=1))),
+            h=np.empty((B,) + half, np.complex128), tmp=np.empty((B,) + half, np.complex128))
 
     def velocity(self, dw: np.ndarray) -> list:
-        """Point values of V for the increments dw (k <= K, n_half, d-1) of k steps.
+        """V for the increments dw (k <= K, n_half, d-1) of k steps.
 
         dw is drawn on theta, the largest member noise, and each member reads
         its own increments as the first rows of each step (see
         noise.sample_increments).  One pass per member over the block: entry
-        i of the returned list is step i's (V_1, ..., V_d), each stacked over
-        the members (see plan), views of work arrays that the next call
-        overwrites.  One step's increments inc are the block inc[None].
+        i of the returned list is step i's V, the members' stacked (see
+        GridPass), views of work arrays that the next call overwrites.  One
+        step's increments inc are the block inc[None].
         """
         for v in self._vels:
             v.velocity(dw)
@@ -546,54 +584,36 @@ class GridPass(sp.GridTransform):
 
         vel is this step's V of each member, an entry of velocity(), which a
         pass with the noise on requires; lvals lists the members' cut-off
-        values, None if each is 1.  A member at lval == 0 has its f left
-        out, never scaled by 0: its w is 0 + V.grad u, summed as alone.  V.grad
-        u is exactly 0 for a constant u, and its mean, zero analytically
-        (q.m = 0), never enters the output's: that is exactly 0 for
-        Keller-Segel and "none" (a divergence), and for Fisher with the noise
-        on lval l2sq, where l2sq lists the members' sum |u_k|^2 over the full
-        block (the grid mean of u^2, by Parseval; integrate has it from the
-        step's norms).  The output is a view of a work array that the next
-        call overwrites.
+        values, None if each is 1.  A member at lval == 0 has its lval terms
+        left out, never scaled by 0: its w is 0 + V.grad u, summed as alone.
+        V.grad u is exactly 0 for a constant u, and its mean, zero
+        analytically (q.m = 0), never enters the output's: that is exactly 0
+        for Keller-Segel and "none" (a divergence), and for Fisher with the
+        noise on lval l2sq, where l2sq lists the members' sum |u_k|^2 over the
+        full block (the grid mean of u^2, by Parseval; integrate has it from
+        the step's norms).  The output is a view of a work array that the
+        next call overwrites.
         """
+        if self.zeta == "keller_segel":
+            return self._divergence(blocks, vel, lvals)
         lay = self._lay
-        u, p, tmp = lay.u, lay.p, self._tmp
-        some = lvals is not None and lvals.count(1.0) + lvals.count(0.0) < len(lvals)
-        np.copyto(lay.chan[0], blocks)
-        if lay.ks:
-            np.multiply(blocks, self.inv_lap, out=lay.chan[1])
-            for c, lval in zip(lay.chan[1], lvals or ()):
-                if lval == 0.0:
-                    c.fill(0.0)
-                elif lval != 1.0:
-                    c *= lval
+        u, p, tmp = lay.u, lay.p, lay.tmp
+        np.copyto(lay.to.input, blocks)
         self._to_grid(lay.to)
-        if lay.ks:
-            # rho (rho - mean rho) + grad rho . (V - grad c), c scaled by lval above
-            for t, mean in zip(lay.tmp_m, blocks[self._mean].real):
-                t.fill(mean)
-            np.multiply(u, np.subtract(u, tmp, out=tmp), out=p)
-        elif self.zeta == "fisher":
+        if self.zeta == "fisher":
             np.multiply(u, u, out=p)
+            if lvals is not None and lvals.count(1.0) + lvals.count(0.0) < len(lvals):
+                # the weights in tmp, 1 at lval 0 (its f is left out below)
+                for t, lval in zip(lay.tmp_m, lvals):
+                    t.fill(lval or 1.0)
+                p *= tmp
         else:
             p.fill(0.0)
-        if some:  # the weights in tmp, 1 at lval 0 (its f is left out below)
-            for t, lval in zip(lay.tmp_m, lvals):
-                t.fill(lval or 1.0)
-            p *= tmp
         for pm, lval in zip(lay.p_m, lvals or ()):
             if lval == 0.0:
                 pm.fill(0.0)
-        if vel is None:  # Keller-Segel without the noise
-            for gr, gc in zip(lay.grad_u, lay.grad_c):
-                np.subtract(p, np.multiply(gr, gc, out=tmp), out=p)
-        else:
-            for a, (v, gr) in enumerate(zip(vel, lay.grad_u)):
-                if lay.ks:
-                    np.multiply(np.subtract(v, lay.grad_c[a], out=tmp), gr, out=tmp)
-                else:
-                    np.multiply(v, gr, out=tmp)
-                p += tmp
+        for v, gr in zip(vel or (), lay.grad_u):
+            p += np.multiply(v, gr, out=tmp)
         self._from_grid(lay.back)
         if self.zeta != "fisher":
             lay.mean.fill(0.0)
@@ -601,6 +621,44 @@ class GridPass(sp.GridTransform):
             for b, (lval, sq) in enumerate(zip(lvals or [1.0] * len(l2sq), l2sq)):
                 lay.mean_re[b] = lval * sq
         return lay.h
+
+    def _divergence(self, blocks: np.ndarray, vel, lvals) -> np.ndarray:
+        """Keller-Segel's Pi_M w in the divergence form (see GridPass)."""
+        lay = self._lay
+        np.copyto(lay.rho, blocks)
+        lay.rho_mean.fill(0.0)
+        # W = V - lval grad c, and the scale lval mean(rho) of each member's rho'
+        scale = []
+        for blk, g, rows, lval, mean in zip(blocks, lay.gc, lay.gc_rows, lvals or [1.0] * len(blocks),
+                                            blocks[self._mean].real.tolist()):
+            scale.append(lval * mean)
+            if lval == 0.0:
+                g.fill(0.0)
+                continue
+            for mult, ga in rows:
+                np.multiply(blk, mult, out=ga)
+            if lval != 1.0:
+                g *= lval
+        if lay.gc_L is not None:
+            np.copyto(lay.gc_mid, lay.gc)
+            np.add(vel, lay.gc_L, out=lay.W)
+        elif vel is not None:
+            lay.W += vel
+        self._to_grid(lay.to)
+        for w, f in lay.prods:
+            np.multiply(lay.rho_grid, w, out=f)
+        self._from_grid(lay.back)
+        h, tmp = lay.h, lay.tmp
+        for a, (flux, ik) in enumerate(lay.div):
+            np.multiply(flux, ik, out=tmp if a else h)
+            if a:
+                h += tmp
+        for hb, blk, t, s in zip(h, blocks, tmp, scale):
+            if s:  # left out at lval == 0; rho' from the block, whole rows
+                np.multiply(blk, s, out=t)
+                t[self.center] = 0.0
+                hb += t
+        return h
 
 
 @lru_cache(maxsize=16)
@@ -785,9 +843,12 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
             live, u, eng = [live[b] for b in keep], u[keep], None
             eng, x, xsq, (norms, norm_args), nrm, means = stack(u, live)
             # two or more members, so the noise is on: the block's V of the
-            # members left, from the same increments, if it has steps left
+            # members left, from the same increments, if it has steps left; then
+            # draws at the width of their largest noise, so that a member's rows
+            # of a step stay one strided line
             if k_next < len(vels):
                 vels = eng.velocity(dw)
+            draws = noise_mod.increment_buffer(eng.theta, eng.K)
         if n == steps:
             break
 

@@ -8,6 +8,7 @@ b*Laplace, and the transport term A * sum theta_m (sigma_{m,j} . grad u) dW^{m,j
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -201,8 +202,8 @@ def amplitude_A(b: float, theta: ThetaSequence) -> float:
     noise is exactly b*Laplace.
     """
     d = theta.d
-    if b < 0.0:
-        raise InvalidParameterError(f"corrector strength b must be >= 0, got {b}")
+    if not (math.isfinite(b) and b >= 0.0):
+        raise InvalidParameterError(f"corrector strength b must be finite and >= 0, got {b}")
     l2sq = theta.l2_norm**2
     if l2sq <= 0.0:
         raise InvalidParameterError("theta must have positive l2 norm")

@@ -306,9 +306,8 @@ class GridTransform:
     transpose it.  The forward mirrors this: the real pass over x_0 first,
     keeping the k_0 >= 0 columns, then each pass contracts the first axis
     and writes the new one last, which returns the half block in its own
-    order.  A plan with grad also gives each channel's gradient, and the
-    value grid of its first channel only (the grid pass reads no other):
-    the pass over axis a stacks E diag(2 pi i k) under E, and the blocks already
+    order.  A plan with grad, of one channel, also gives its gradient: the
+    pass over axis a stacks E diag(2 pi i k) under E, and the blocks already
     differentiated along a later axis take E alone, so the value and the d
     derivatives share their intermediates.  Each plan has arrays of its
     own, so a returned array is valid only until the next run of its plan.
@@ -327,8 +326,8 @@ class GridTransform:
 
     def plan(self, C: int, from_grid: bool = False, grad: bool = False,
              B: int = 1, out=None) -> TransformPlan:
-        """A new plan of B members of C channels each for _to_grid (with each
-        channel's gradient if grad, its grids written into out if given, see
+        """A new plan of B members of C channels each for _to_grid (with its
+        gradient if grad, then C = 1; its grids written into out if given, see
         _to_plan), or for _from_grid if from_grid.
 
         The members' grids sit side by side along the last axis, B R points
@@ -342,11 +341,12 @@ class GridTransform:
         return self._from_plan(C, B) if from_grid else self._to_plan(C, grad, B, out)
 
     def _to_plan(self, C: int, grad: bool, B: int, out=None) -> TransformPlan:
-        """The to-grid plan.  With grad, channel 0 gives its value grid, then
-        its d derivatives, and every later channel its d derivatives only.  It
-        writes its grids into out (1 + C d if grad else C, R, ..., R, B R) if
-        given, which must take that shape as a view, else into an array of
-        its own."""
+        """The to-grid plan.  With grad, its one channel gives its value grid,
+        then its d derivatives.  It writes its grids into out (1 + d if grad
+        else C, R, ..., R, B R) if given, which must take that shape as a
+        view, else into an array of its own."""
+        if grad and C != 1:
+            raise InvalidParameterError(f"a grad plan has one channel, got {C}")
         M, n, R, d, ops = self.M, 2 * self.M + 1, self.R, self.d, []
         shape = (M + 1,) + (n,) * (d - 1)
         stack = np.zeros((B * C,) + shape, np.complex128)
@@ -363,7 +363,7 @@ class GridTransform:
             x = y
         # the half axis, now last: a real matmul on the interleaved float view
         g = x.shape[1]
-        a = x.reshape(B, C, g, -1, M + 1).view(np.float64)
+        a = x.reshape(B, C * g, -1, M + 1).view(np.float64)
         n_out = C * g + grad
         if out is None:
             out = np.empty((n_out,) + (R,) * (d - 1) + (B * R,))
@@ -372,17 +372,11 @@ class GridTransform:
         if not grad:  # one GEMM per member over the rows of its channels
             ops.append(_gemm(a.reshape(B, -1, 2 * M + 2), self._E_half[0], o.reshape(B, -1, R)))
             return TransformPlan(stack, tuple(ops), out)
-        # the value so far gives d/dx_0 (and channel 0's value grid), and the
-        # g - 1 >= 1 blocks differentiated already their values
-        at = 0
-        for c, E in (slice(0, 1), self._E_half), (slice(1, C), self._E_half[1:]):
-            k, per = c.stop - c.start, len(E) + g - 1
-            if k:
-                oc = o[:, at:at + k * per].reshape(B, k, per, -1, R)
-                ops += [_gemm(a[:, c, :1], E, oc[:, :, :len(E)]),
-                        _gemm(a[:, c, 1:].reshape(B, k, -1, 2 * M + 2), self._E_half[0],
-                              oc[:, :, len(E):].reshape(B, k, -1, R))]
-                at += k * per
+        # the value so far gives the value grid and d/dx_0, and the d - 1 blocks
+        # differentiated already their values
+        ops += [_gemm(a[:, :1], self._E_half, o[:, :2]),
+                _gemm(a[:, 1:].reshape(B, -1, 2 * M + 2), self._E_half[0],
+                      o[:, 2:].reshape(B, -1, R))]
         return TransformPlan(stack, tuple(ops), out)
 
     def _from_plan(self, C: int, B: int) -> TransformPlan:
@@ -403,9 +397,9 @@ class GridTransform:
     def _to_grid(self, plan: TransformPlan) -> np.ndarray:
         """Run a plan: the real point values (C', R, ..., R, B R) in rotated
         axis order of the half blocks (B C, M+1, n, ..., n) in plan.input
-        (C' = C, or 1 + C d for a grad plan: channel 0's value, then each
-        channel's d derivatives), or for a from-grid plan (_from_grid) the half
-        blocks (C B, M+1, n, ..., n) of the real grids in plan.input."""
+        (C' = C, or 1 + d for a grad plan: the value, then the d
+        derivatives), or for a from-grid plan (_from_grid) the half blocks
+        (C B, M+1, n, ..., n) of the real grids in plan.input."""
         for op, args in plan.ops:
             op(*args)
         return plan.output

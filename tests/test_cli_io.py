@@ -260,6 +260,14 @@ class TestCli:
         assert cli.main(["noise-audit", "--N", "1", "--d", str(d)]) == 2
         assert f"dimension d must be 2 or 3, got {d}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("b", ["nan", "inf"])
+    def test_noise_audit_non_finite_b_exit_code(self, b, capsys):
+        # json.dumps would print NaN or Infinity, which is not JSON
+        assert cli.main(["noise-audit", "--N", "3", "--d", "2", "--b", b]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "corrector strength b must be finite" in captured.err
+
     def test_noise_audit_radius_cap_exit_code(self, capsys):
         t0 = time.perf_counter()
         assert cli.main(["noise-audit", "--N", "200", "--d", "3"]) == 2
@@ -393,7 +401,13 @@ class TestCli:
         (["probe", "--zeta", "fisher", "--exponents", "1,0.5,1.5,1.5,1,1,1,1"], "7 values"),
         (["ode", "--beta", "1.0", "--x0", "1.0", "--dt", "1e-3", "--t-end", "0.1",
           "--rhs", "linear:fast"], "--rhs"),
-    ], ids=["levels", "duplicate-levels", "x0", "exponents", "exponent-count", "rhs"])
+        # a non-finite rate would report a numerical artifact as a blow-up
+        (["ode", "--beta", "1.0", "--x0", "1.0", "--dt", "1e-3", "--t-end", "0.1",
+          "--rhs", "linear:nan"], "--rhs"),
+        (["ode", "--beta", "1.0", "--x0", "1.0", "--dt", "1e-3", "--t-end", "0.1",
+          "--rhs", "linear:inf"], "--rhs"),
+    ], ids=["levels", "duplicate-levels", "x0", "exponents", "exponent-count", "rhs",
+            "rhs-nan", "rhs-inf"])
     def test_bad_list_input_exit_code(self, tmp_path, capsys, argv, named):
         cfg_path = str(write_config(tmp_path, {"beta": 1.0, "noise_N": 0}))
         argv = [cfg_path if a == "CFG" else a for a in argv]

@@ -181,8 +181,11 @@ def _steady_allocations(steady) -> tuple:
 
 
 class TestGridPass:
-    # N > M at d = 3: 2M+N+1 = 8 > 3M+1 = 7 sets the grid
-    @pytest.mark.parametrize("d,M,N,zeta", [(3, 2, 3, "keller_segel"), (2, 4, 3, "fisher")])
+    # N > M at d = 3: 2M+N+1 = 8 > 3M+1 = 7 sets the grid, and Keller-Segel's W
+    # lives on the larger block of N; N <= M puts V in the middle of M's
+    @pytest.mark.parametrize("d,M,N,zeta", [
+        (3, 2, 3, "keller_segel"), (2, 4, 3, "keller_segel"), (3, 2, 1, "keller_segel"),
+        (2, 4, 3, "fisher")])
     def test_fused_pass_matches_field_path(self, d, M, N, zeta):
         # the one forcing back, zeta(u) + T/dt, against the brute-force zeta and
         # the transport term over dt
@@ -204,7 +207,8 @@ class TestGridPass:
 
     @pytest.mark.parametrize("d,zeta", [(2, "fisher"), (3, "keller_segel")])
     def test_constant_field_gives_exact_zeros(self, d, zeta):
-        # the differentiated DFT matrices vanish on the k = 0 column exactly
+        # the differentiated DFT matrices vanish on the k = 0 column exactly, and
+        # Keller-Segel's rho - mean(rho) is exactly 0
         cfg = make_cfg(d=d, M=3, b=1.0, noise_N=2, zeta=zeta)
         eng = dyn._Engine(cfg)
         f = sp.constant(d, 3, 0.8)
@@ -213,7 +217,10 @@ class TestGridPass:
         transport = eng.zeta_block(_half(f)[None], eng.velocity(dw[None])[0], [0.0],
                                    _l2sq([_half(f)]))
         lay = eng._lay
-        assert all(np.all(g == 0.0) for g in lay.grad_u + lay.grad_c)
+        if zeta == "keller_segel":  # every flux rho' W_a on the grid
+            assert np.all(lay.rho_grid == 0.0) and np.all(lay.back.input == 0.0)
+        else:
+            assert all(np.all(g == 0.0) for g in lay.grad_u)
         assert np.all(transport == 0.0)
         A = nm.amplitude_A(cfg.b, eng.theta)
         inc = nm.NoiseIncrements(0.01, eng.theta.half_modes, dw)
@@ -244,8 +251,11 @@ class TestGridPass:
             assert np.array_equal(got, fresh.drift_block(block[None], [lval], fresh.velocity(dw)[0],
                                                          sq))
             if lval == 0.0:  # lin u + T/dt
-                t_dt = alone.zeta_block(block[None], alone.velocity(dw)[0])
-                assert np.array_equal(got, eng.lin_mult * block + t_dt)
+                want = eng.lin_mult * block + alone.zeta_block(block[None], alone.velocity(dw)[0])
+                if zeta == "keller_segel":  # T as div(u V), to rounding
+                    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+                else:
+                    assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("d,zeta", [(2, "fisher"), (3, "keller_segel"), (2, "none")])
     @pytest.mark.parametrize("lval", [1.0, 0.7, 0.0])
@@ -277,9 +287,11 @@ class TestGridPass:
     @pytest.mark.parametrize("d,M,zeta,lvals,Ns", [
         (2, 4, "fisher", [0.7], [2]), (3, 3, "keller_segel", [0.7], [2]), (2, 4, "fisher", [0.0], [2]),
         # a batch step: two members, their own cut-off values, one grid pass
-        (2, 4, "fisher", [1.0, 0.7], [2, 4]), (3, 3, "keller_segel", [0.0, 1.0], [2, 3])],
+        (2, 4, "fisher", [1.0, 0.7], [2, 4]), (3, 3, "keller_segel", [0.0, 1.0], [2, 3]),
+        # N > M: Keller-Segel's W on the larger block of N
+        (3, 2, "keller_segel", [0.7], [3])],
         ids=["2-4-fisher-0.7", "3-3-keller_segel-0.7", "2-4-fisher-0.0", "2-4-fisher-batch",
-             "3-3-keller_segel-batch"])
+             "3-3-keller_segel-batch", "3-2-keller_segel-N3"])
     def test_steady_calls_allocate_no_block(self, d, M, zeta, lvals, Ns):
         # after one warm-up call per layout, no single allocation of the calls
         # reaches one member's half block, and they keep nothing
@@ -440,6 +452,11 @@ STAGGERED = dict(b=2.0, S=1e7, dt=1e-4, t_end=0.6, zeta="fisher", seed=2026,
 # M = 8): the members left go on with a smaller theta
 LARGEST_FIRST = dict(M=8, beta=0.9, b=2.0, S=10.0, dt=1e-5, t_end=0.002, zeta="fisher", seed=3,
                      init={"mean": 0.5, "delta0": 0.01})
+# Keller-Segel above the aggregation threshold of its lowest modes: N = 1 leaves
+# at step 318, the largest noise N = 3 at 341, N = 2 at 345, each in the middle
+# of a velocity block (K = 24)
+KS_STAGGERED = dict(b=1.0, S=1e7, dt=1e-4, t_end=0.04, zeta="keller_segel", seed=1,
+                    blowup_threshold=1e4, init={"mean": 250.0, "delta0": 1.0})
 # the runs start in the cut-off's zero and leave it at different steps
 CUTOFF = dict(b=1.0, S=0.55, dt=1e-4, t_end=0.03, zeta="fisher", seed=3,
               init={"mean": 1.5, "delta0": 0.5})
@@ -465,12 +482,15 @@ class TestBatch:
               init={"mean": 1.0, "delta0": 0.05}, snapshot_stride=4), (2, 4), 1),
         # N = 2 leaves at step 164, N = 1 at step 170
         (LARGEST_FIRST, (2, 1), 3),
+        # the divergence form: V's coefficients of the members left re-made
+        (KS_STAGGERED, (3, 1, 2), 0),
         # the cut-off acts: the members step at their own values in (0, 1), or one
         # of them at 0 while the other is not
         (CUTOFF, (2, 1), 0), (dict(CUTOFF, beta=0.95), (2, 1), 0),
         (dict(CUTOFF, d=3, M=3, t_end=0.01, zeta="keller_segel"), (2, 1), 0),
     ], ids=["delay-s1-r0", "delay-s1-r1", "delay-s2-r0", "delay-s2-r1", "beta0.9",
             "staggered", "one-survives", "non-finite", "d3-keller-segel", "largest-first",
+            "d2-keller-segel-staggered",
             "cutoff-fisher", "cutoff-beta0.95", "cutoff-d3-keller-segel"])
     def test_members_equal_their_own_runs(self, kw, Ns, run):
         cfgs = [make_cfg(noise_N=N, **kw) for N in Ns]
@@ -491,6 +511,8 @@ class TestBatch:
             assert times[1] < times[2] and (times[0] is None or times[2] < times[0])
         if kw is LARGEST_FIRST:
             assert [len(rec.times) - 1 for rec in batch] == [164, 170]
+        if kw is KS_STAGGERED:
+            assert [len(rec.times) - 1 for rec in batch] == [341, 318, 345]
         if kw.get("S") == CUTOFF["S"]:
             pairs = list(zip(batch[0].cutoff, batch[1].cutoff))
             assert any(0.0 < a != b > 0.0 for a, b in pairs)
@@ -518,7 +540,8 @@ class TestBatch:
 
     @pytest.mark.parametrize("zeta", dyn.ZETA_KINDS)
     def test_one_transform_back_per_step(self, zeta, monkeypatch):
-        # the nonlinearity and the transport come back summed, in one channel
+        # the nonlinearity and the transport come back summed, in one channel, or
+        # for Keller-Segel as the d fluxes of one divergence
         cfg = make_cfg(b=1.0, noise_N=2, zeta=zeta, dt=1e-4, t_end=3e-3,
                        init={"mean": 0.5, "delta0": 0.01})
         channels = []
@@ -526,7 +549,27 @@ class TestBatch:
         monkeypatch.setattr(dyn._Engine, "_from_grid", lambda eng, plan: channels.append(
             len(plan.input)) or from_grid(eng, plan))
         dyn.integrate(cfg)
-        assert channels == [1] * cfg.n_steps
+        assert channels == [cfg.d if zeta == "keller_segel" else 1] * cfg.n_steps
+
+    def test_member_left_draws_at_its_own_width(self, monkeypatch):
+        # after the largest noise leaves, the member left reads each step's rows
+        # of a draw at its own width: its velocity passes allocate no more than
+        # those of its own engine on a buffer of its own
+        cfgs = [make_cfg(noise_N=N, **LARGEST_FIRST) for N in (2, 1)]
+        calls = []
+        velocity = dyn._Engine.velocity
+        monkeypatch.setattr(dyn._Engine, "velocity",
+                            lambda eng, dw: calls.append((eng, dw)) or velocity(eng, dw))
+        dyn.integrate_batch(cfgs, 3)
+        monkeypatch.undo()
+        eng, dw = calls[-1]  # the last block, after N = 2 left at step 164
+        own = dyn._Engine(cfgs[1])
+        assert eng.theta.n_half == own.theta.n_half < calls[0][1].shape[1]
+        own_dw = nm.draw_increments(own.theta, 1e-5, [np.random.default_rng(k) for k in range(len(dw))],
+                                    nm.increment_buffer(own.theta, len(dw)))
+        left, _ = _steady_allocations(lambda: eng.velocity(dw))
+        alone, _ = _steady_allocations(lambda: own.velocity(own_dw))
+        assert left <= alone
 
     def test_refuses_configs_that_differ_in_more_than_the_noise(self):
         cfg = make_cfg(M=4, b=1.0, noise_N=2)
