@@ -212,7 +212,7 @@ class SimConfig:
             raise InvalidParameterError(
                 f"t_end/dt = {self.t_end / self.dt:.6g} steps exceeds the cap of {MAX_STEPS}"
             )
-        _validate_init_spec(self.init)
+        _validate_init_spec(self.init, self.d)
 
     @property
     def n_steps(self) -> int:
@@ -236,7 +236,7 @@ def _numbers(spec) -> list:
     return [spec] if isinstance(spec, (int, float)) else []
 
 
-def _validate_init_spec(init: dict):
+def _validate_init_spec(init: dict, d: int):
     if not isinstance(init, dict):
         raise InvalidParameterError("init must be a mapping")
     for x in _numbers(init):
@@ -249,6 +249,17 @@ def _validate_init_spec(init: dict):
     keys = set(init)
     if "coeffs" in keys:
         allowed = {"coeffs"}
+        if not isinstance(init["coeffs"], (list, tuple)):
+            raise InvalidParameterError(f"init coeffs must be a list of modes, got {init}")
+        for e in init["coeffs"]:
+            if not (isinstance(e, dict) and "k" in e and set(e) <= {"k", "re", "im"}
+                    and all(isinstance(e[p], (int, float)) for p in ("re", "im") if p in e)):
+                raise InvalidParameterError(
+                    f"an init coeffs entry is {{'k': [...], 're': r, 'im': i}}, got {e!r}")
+            k = e["k"]
+            if not (isinstance(k, (list, tuple)) and len(k) == d
+                    and all(isinstance(c, (int, float)) and float(c).is_integer() for c in k)):
+                raise InvalidParameterError(f"init coeffs k must hold {d} integers, got {k!r}")
     elif "delta0" in keys:
         allowed = {"mean", "delta0", "decay"}
         if "mean" not in keys:
@@ -485,7 +496,7 @@ class GridPass(sp.GridTransform):
     depend on u, so velocity() builds it for a block of up to K steps, and a
     grid pass takes one step's V of every member from it (vel).  Each pass
     has one layout, K included, fixed at construction by the zeta kind and
-    its members; members that leave a batch go on in a new pass.  numpy
+    its members, for the whole run (see integrate_batch).  numpy
     takes buffers for a broadcast, a cast or an operation on one member's
     columns, not for a fill, so member-wise steps are fills or calls on
     whole rows.
@@ -549,17 +560,15 @@ class GridPass(sp.GridTransform):
         back = self.plan(d, from_grid=True, B=B)
         x = to.input.reshape((B, 1 + d) + to.input.shape[1:])  # member-major channels
         mid = (slice(None), slice(0, M + 1)) + (slice(L - M, L + M + 1),) * (d - 1)
-        ik = np.stack([sp.TWO_PI * 1j * g[M:] for g in sp._mode_grids(d, M)])
-        grad_c = -ik * np.divide(1.0, self.lap, out=np.zeros_like(self.lap), where=self.ksq > 0.0)
-        W = x[:, 1:]
-        # -lval grad c of each member: in W itself, or copied to M's block of a
-        # zeroed block of L and added to V (a ufunc on a block inside W takes buffers)
-        gc = W if L == M else np.empty((B, d) + half, np.complex128)
-        gc_L = None if L == M else np.zeros_like(W)
+        # on the block of L, where rho' is zero beyond M's block
+        ik = np.stack([sp.TWO_PI * 1j * g[L:] for g in sp._mode_grids(d, L)])
+        lap = 4.0 * np.pi**2 * sp._ksq_grid(d, L)[L:]
+        grad_c = -ik * np.divide(1.0, lap, out=np.zeros_like(lap), where=lap > 0.0)
+        ik = ik[mid]  # the divergence, on M's block
         return SimpleNamespace(
             to=to, back=back, rho=x[:, 0][mid], rho_mean=x[(slice(None), 0, 0) + (L,) * (d - 1)],
-            W=W, gc=gc, gc_L=gc_L, gc_mid=None if L == M else gc_L[(slice(None),) + mid],
-            gc_rows=[list(zip(grad_c, g)) for g in gc],  # rho_b times -ik_a / |2 pi k|^2
+            # each member's rho', W and the products rho' (-ik_a / |2 pi k|^2) into W_a
+            W=x[:, 1:], gc=[(r, w, list(zip(grad_c, w))) for r, w in zip(x[:, 0], x[:, 1:])],
             prods=list(zip(to.output[1:], back.input)), rho_grid=to.output[0],
             div=list(zip(back.output.reshape((d, B) + half), np.repeat(ik[:, None], B, axis=1))),
             h=np.empty((B,) + half, np.complex128), tmp=np.empty((B,) + half, np.complex128))
@@ -629,20 +638,17 @@ class GridPass(sp.GridTransform):
         lay.rho_mean.fill(0.0)
         # W = V - lval grad c, and the scale lval mean(rho) of each member's rho'
         scale = []
-        for blk, g, rows, lval, mean in zip(blocks, lay.gc, lay.gc_rows, lvals or [1.0] * len(blocks),
-                                            blocks[self._mean].real.tolist()):
+        for (rho, W, rows), lval, mean in zip(lay.gc, lvals or [1.0] * len(blocks),
+                                              blocks[self._mean].real.tolist()):
             scale.append(lval * mean)
             if lval == 0.0:
-                g.fill(0.0)
+                W.fill(0.0)
                 continue
-            for mult, ga in rows:
-                np.multiply(blk, mult, out=ga)
+            for mult, wa in rows:
+                np.multiply(rho, mult, out=wa)
             if lval != 1.0:
-                g *= lval
-        if lay.gc_L is not None:
-            np.copyto(lay.gc_mid, lay.gc)
-            np.add(vel, lay.gc_L, out=lay.W)
-        elif vel is not None:
+                W *= lval
+        if vel is not None:
             lay.W += vel
         self._to_grid(lay.to)
         for w, f in lay.prods:
@@ -750,9 +756,10 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
     Philox stream of each step.  One draw per step at the largest N gives
     each member its own increments as a prefix (noise.draw_increments),
     each member turns them into V through its own velocity pass, and one
-    grid pass runs over the stacked members.  A member that blows up leaves
-    the stack with its record, and the rest go on.  Every GEMM of a member
-    has its one-member shape, so each record is the one integrate gives.
+    grid pass runs over the stacked members.  A member that blows up ends
+    its record and stays in the stack as a zero block at lval 1, out of the
+    history: its forcing is exactly 0.  Every GEMM of a member has its
+    one-member shape, so each record is the one integrate gives.
     """
     cfg, B = cfgs[0], len(cfgs)
     if B > 1 and (batch_key(cfg) is None or len({batch_key(c) for c in cfgs}) > 1):
@@ -778,40 +785,30 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
     dt, S, threshold = cfg.dt, cfg.S, cfg.blowup_threshold
     if not classical:
         c_hist = kernel_increments(cfg.beta, dt, steps)
-    u = np.empty((B,) + u0.shape, np.complex128)  # the members' blocks, updated in place
+    eng = _Engine(*cfgs)
+    u = np.repeat(u0[None], B, axis=0)  # the members' blocks, updated in place
     # per member: the time, l2, hs, hneg_gamma, mean and cutoff of each recorded step,
     # a row of floats packed into a flat buffer (no numpy call per step); the
     # record's arrays are built from its first n_rec rows when the run ends
     runs = [SimpleNamespace(cfg=c, rows=memoryview(np.empty((steps + 1, 6))), snapshots=[],
-                            n_rec=steps + 1, blowup_time=None,
+                            n_rec=steps + 1, blowup_time=None, u=blk, flat=blk.reshape(-1),
                             hist=None if classical else VolterraHistory(c_hist, u0.size))
-            for c in cfgs]
+            for c, blk in zip(cfgs, u)]
     put_row = struct.Struct("6d").pack_into
+    # views of u: the interleaved floats x, x*x, the call that puts the norms in
+    # nrm (each member's a gemv, as for one member), x at the mean
+    x = u.reshape(B, -1).view(np.float64)
+    xsq, nrm = np.empty_like(x), np.empty((B, 3))
+    norms, norm_args = sp._gemm(xsq[:, None], eng.norm_w, nrm[:, None])
+    means = x[:, 2 * int(np.ravel_multi_index(eng.center, u0.shape))]
 
-    def stack(u, live):
-        """The engine of the live runs, and views of their stack u that stay
-        valid while it is updated in place: the interleaved floats x, x*x, the
-        call that puts their norms in nrm (each member's a gemv, as for one
-        member), x at the mean; each run's block."""
-        eng = _Engine(*(run.cfg for run in live))
-        x = u.reshape(len(u), -1).view(np.float64)
-        xsq, nrm = np.empty_like(x), np.empty((len(u), 3))
-        for run, blk in zip(live, u):
-            run.u, run.flat = blk, blk.reshape(-1)
-        at_mean = 2 * int(np.ravel_multi_index(eng.center, u0.shape))
-        return eng, x, xsq, sp._gemm(xsq[:, None], eng.norm_w, nrm[:, None]), nrm, x[:, at_mean]
-
-    live = runs
-    u[:] = u0
-    eng, x, xsq, (norms, norm_args), nrm, means = stack(u, live)
-
-    noise_on = eng.theta is not None
+    noise_on, live = eng.theta is not None, B
     if noise_on:
         # one Philox per batch, rekeyed per step: same streams as step_rng()
         philox = _philox_state(mix_seed(cfg.seed, run_index, _TAG_NOISE), 0)
         gen = np.random.Generator(np.random.Philox(key=0))
-        # V of the next eng.K steps at once (every engine of a batch has one grid,
-        # so one K); their increments are drawn into one buffer, at the largest live noise
+        # V of the next eng.K steps at once; their increments are drawn into one
+        # buffer, at the batch's largest noise
         draws = noise_mod.increment_buffer(eng.theta, eng.K)
         vels, k_next = [], 0
 
@@ -820,36 +817,23 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
         np.multiply(x, x, out=xsq)
         norms(*norm_args)
         lvals, sqs = [], []
-        for run, (l2sq, hs_sq, hneg_sq), mean in zip(live, nrm.tolist(), means):
-            l2_n = math.sqrt(l2sq)
-            if not math.isfinite(l2_n):
-                run.n_rec, run.blowup_time = n, t_n
-                continue
-            hneg_n = math.sqrt(hneg_sq)
+        for run, (l2sq, hs_sq, hneg_sq), mean in zip(runs, nrm.tolist(), means):
+            l2_n, hneg_n = math.sqrt(l2sq), math.sqrt(hneg_sq)
             lval = 1.0 if hneg_n <= S else cutoff_value(hneg_n, S)
-            put_row(run.rows, 48 * n, t_n, l2_n, math.sqrt(hs_sq), hneg_n, mean, lval)
-            if stride > 0 and n % stride == 0:
-                run.snapshots.append((n, sp.SpectralField(cfg.d, cfg.M, sp.hermitian_block(run.u))))
-            if l2_n > threshold:
-                run.n_rec, run.blowup_time = n + 1, t_n
-                continue
+            if run.blowup_time is None:  # else a zero block: l2sq 0, lval 1
+                finite = math.isfinite(l2_n)
+                if finite:
+                    put_row(run.rows, 48 * n, t_n, l2_n, math.sqrt(hs_sq), hneg_n, mean, lval)
+                    if stride > 0 and n % stride == 0:
+                        full = sp.hermitian_block(run.u)
+                        run.snapshots.append((n, sp.SpectralField(cfg.d, cfg.M, full)))
+                if not finite or l2_n > threshold:  # the record ends with the rows put
+                    run.n_rec, run.blowup_time = n + finite, t_n
+                    run.u.fill(0.0)
+                    run.hist, live, lval, l2sq = None, live - 1, 1.0, 0.0
             lvals.append(lval)
             sqs.append(l2sq)
-        if len(lvals) < len(live):  # runs that blew up leave the stack with their records
-            keep = [b for b, run in enumerate(live) if run.blowup_time is None]
-            if not keep:
-                break
-            # free the old engine first: alive with the new one, it grows the peak RSS
-            live, u, eng = [live[b] for b in keep], u[keep], None
-            eng, x, xsq, (norms, norm_args), nrm, means = stack(u, live)
-            # two or more members, so the noise is on: the block's V of the
-            # members left, from the same increments, if it has steps left; then
-            # draws at the width of their largest noise, so that a member's rows
-            # of a step stay one strided line
-            if k_next < len(vels):
-                vels = eng.velocity(dw)
-            draws = noise_mod.increment_buffer(eng.theta, eng.K)
-        if n == steps:
+        if n == steps or not live:
             break
 
         vel = None
@@ -864,8 +848,9 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
         if classical:
             u += np.multiply(dt, g, out=g)
         else:  # u_{n+1} = u_0 + sum_{k<=n} c_{n+1-k} G_k
-            for run, g_b in zip(live, g):
-                np.add(u0_flat, run.hist.push(g_b), out=run.flat)
+            for run, g_b in zip(runs, g):
+                if run.hist is not None:
+                    np.add(u0_flat, run.hist.push(g_b), out=run.flat)
 
     records = []
     for run in runs:

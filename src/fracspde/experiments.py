@@ -324,6 +324,9 @@ def probe_hypothesis(
     missing = need - set(exponents)
     if missing:
         raise InvalidParameterError(f"missing exponent(s): {sorted(missing)}")
+    for name, value in exponents.items():  # a NaN ratio would be written as invalid JSON
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"exponent {name} must be finite, got {value}")
     zeta = dyn._ZETA_FUNCS[zeta_kind]
     spec = DEFAULT_FIELD_SPEC
     d, M, decay = spec["d"], spec["M"], spec["decay"]

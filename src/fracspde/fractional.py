@@ -175,10 +175,12 @@ class VolterraHistory:
                 f"and {steps} steps (relative error {err:.2e} at {len(sigma)} modes)"
             )
         self.n_modes = len(sigma)
-        self._decay = np.exp(-B * sigma)[:, None]
         self._fold = np.exp(-np.multiply.outer(sigma, np.arange(B, 0, -1.0)))
         self._read = amp * np.exp(-np.multiply.outer(np.arange(n0, n0 + B), sigma))
         self._modes = np.zeros((self.n_modes, 2 * P))
+        # the fold's decay tiled to the modes' shape, and its product's buffer
+        self._decay = np.repeat(np.exp(-B * sigma)[:, None], 2 * P, axis=1)
+        self._folded_rows = np.empty_like(self._modes)
 
     def push(self, g) -> np.ndarray:
         """Store G_n (P values) and return conv_n as a (P,) complex array."""
@@ -187,7 +189,7 @@ class VolterraHistory:
             # rows F..F+B-1 sit at lags > n0 from the next step on
             old = self._fbuf[self._start : self._start + B]
             self._modes *= self._decay
-            self._modes += self._fold @ old
+            self._modes += np.matmul(self._fold, old, out=self._folded_rows)
             self._start += B
             self._len -= B
             self._folded = True

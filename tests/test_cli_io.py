@@ -83,12 +83,23 @@ class TestParseConfig:
         ("init", {"coeffs": [{"k": [1, 0], "re": 10**400}]},
          "init must hold numbers that fit a float"),
         ("init", {"amplitude": 0.5, "decay": 10**400}, "init must hold numbers that fit a float"),
+        # explicit modes at d = 2: a k of one component would fill a whole row
+        ("init", {"coeffs": [{"k": [1], "re": 1.0}]}, "k must hold 2 integers"),
+        ("init", {"coeffs": [{"k": [1, 0, 0], "re": 1.0}]}, "k must hold 2 integers"),
+        ("init", {"coeffs": [{"k": [1.5, 0], "re": 1.0}]}, "k must hold 2 integers"),
+        ("init", {"coeffs": [{"re": 1.0}]}, "init coeffs entry"),
+        ("init", {"coeffs": [{"k": [1, 0], "amp": 1.0}]}, "init coeffs entry"),
+        ("init", {"coeffs": [{"k": [1, 0], "re": "1.0"}]}, "init coeffs entry"),
+        ("init", {"coeffs": 3}, "init coeffs must be a list"),
     ], ids=["b", "S", "gamma", "s", "blowup_threshold", "init-delta0", "dt", "t_end", "M",
             "snapshot_stride", "s-beyond-float", "init-mean-beyond-float",
-            "init-coeff-beyond-float", "init-decay-beyond-float"])
+            "init-coeff-beyond-float", "init-decay-beyond-float", "init-k-short",
+            "init-k-long", "init-k-fraction", "init-k-missing", "init-coeff-unknown-key",
+            "init-coeff-string", "init-coeffs-not-a-list"])
     def test_unrunnable_value_refused(self, tmp_path, key, value, named):
         # the file holds NaN or Infinity, which json reads; neither can run, nor
-        # can a fraction for an int key or an integer beyond the float range
+        # can a fraction for an int key, an integer beyond the float range, or a
+        # mode that is not d integers and a real and imaginary part
         path = write_config(tmp_path, {key: value})
         with pytest.raises(InvalidParameterError, match=named):
             io_mod.parse_config(path)
@@ -399,6 +410,11 @@ class TestCli:
         (["dichotomy", "--beta", "1.0", "--x0", "0.5,two"], "--x0"),
         (["probe", "--zeta", "fisher", "--exponents", "1,0.5,1.5,1.5,1,1,e"], "--exponents"),
         (["probe", "--zeta", "fisher", "--exponents", "1,0.5,1.5,1.5,1,1,1,1"], "7 values"),
+        # a non-finite exponent would write NaN, which is not JSON, to probe.json
+        (["probe", "--zeta", "fisher", "--samples", "5", "--exponents", "1,0.5,nan,1.5,1,1,1"],
+         "exponent a2 must be finite"),
+        (["probe", "--zeta", "fisher", "--samples", "5", "--exponents", "1,0.5,1.5,1.5,1,1,inf"],
+         "exponent eta must be finite"),
         (["ode", "--beta", "1.0", "--x0", "1.0", "--dt", "1e-3", "--t-end", "0.1",
           "--rhs", "linear:fast"], "--rhs"),
         # a non-finite rate would report a numerical artifact as a blow-up
@@ -406,8 +422,8 @@ class TestCli:
           "--rhs", "linear:nan"], "--rhs"),
         (["ode", "--beta", "1.0", "--x0", "1.0", "--dt", "1e-3", "--t-end", "0.1",
           "--rhs", "linear:inf"], "--rhs"),
-    ], ids=["levels", "duplicate-levels", "x0", "exponents", "exponent-count", "rhs",
-            "rhs-nan", "rhs-inf"])
+    ], ids=["levels", "duplicate-levels", "x0", "exponents", "exponent-count", "exponents-nan",
+            "exponents-inf", "rhs", "rhs-nan", "rhs-inf"])
     def test_bad_list_input_exit_code(self, tmp_path, capsys, argv, named):
         cfg_path = str(write_config(tmp_path, {"beta": 1.0, "noise_N": 0}))
         argv = [cfg_path if a == "CFG" else a for a in argv]

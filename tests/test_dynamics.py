@@ -17,9 +17,10 @@ from fracspde.fractional import (
 
 
 def make_cfg(**over):
+    k = [1] + [0] * (over.get("d", 2) - 1)  # the mode (1, 0[, 0])
     base = dict(
         d=2, M=4, s=1.0, beta=1.0, b=0.0, S=100.0, dt=1e-3, t_end=0.05,
-        zeta="none", init={"coeffs": [{"k": [1, 0], "re": 1.0}]}, seed=1,
+        zeta="none", init={"coeffs": [{"k": k, "re": 1.0}]}, seed=1,
     )
     base.update(over)
     return dyn.SimConfig(**base)
@@ -445,14 +446,14 @@ def _same_record(got, want):
 # the delay_ensemble benchmark's study: d=2, M=4, levels N = 2, 4 on R = 13
 DELAY = dict(b=2.0, S=1e7, dt=1e-4, t_end=2.0, zeta="fisher", blowup_threshold=1e6,
              init={"mean": 2.0, "delta0": 2.0})
-# fluctuation-led blow-up: the members leave the stack far apart, or not at all
+# fluctuation-led blow-up: the members blow up far apart, or not at all
 STAGGERED = dict(b=2.0, S=1e7, dt=1e-4, t_end=0.6, zeta="fisher", seed=2026,
                  init={"mean": 0.9, "delta0": 400.0})
-# the largest noise leaves first, in the middle of a velocity block (K = 6 at
-# M = 8): the members left go on with a smaller theta
+# the largest noise blows up first, in the middle of a velocity block (K = 6 at
+# M = 8): the member left goes on reading its prefix of the largest noise's draws
 LARGEST_FIRST = dict(M=8, beta=0.9, b=2.0, S=10.0, dt=1e-5, t_end=0.002, zeta="fisher", seed=3,
                      init={"mean": 0.5, "delta0": 0.01})
-# Keller-Segel above the aggregation threshold of its lowest modes: N = 1 leaves
+# Keller-Segel above the aggregation threshold of its lowest modes: N = 1 blows up
 # at step 318, the largest noise N = 3 at 341, N = 2 at 345, each in the middle
 # of a velocity block (K = 24)
 KS_STAGGERED = dict(b=1.0, S=1e7, dt=1e-4, t_end=0.04, zeta="keller_segel", seed=1,
@@ -471,18 +472,18 @@ class TestBatch:
         # beta = 0.9: a Volterra history per member, snapshots
         (dict(beta=0.9, b=0.5, S=10.0, dt=2.5e-5, t_end=110 * 2.5e-5, zeta="fisher", seed=4,
               init={"mean": 0.5, "delta0": 0.01}, snapshot_stride=13), (2, 4), 2),
-        # N = 1 leaves at 0.43, N = 2 at 0.44, N = 3 at 0.54; the largest noise is first
+        # N = 1 blows up at 0.43, N = 2 at 0.44, N = 3 at 0.54; the largest noise is first
         (STAGGERED, (3, 1, 2), 0),
-        # N = 1 leaves at 0.52, N = 2 at 0.57, N = 3 runs to the end
+        # N = 1 blows up at 0.52, N = 2 at 0.57, N = 3 runs to the end
         (STAGGERED, (3, 1, 2), 2),
-        # the same, with the cut-off and threshold off: they leave on a non-finite norm
+        # the same, with the cut-off and threshold off: they blow up on a non-finite norm
         (dict(STAGGERED, S=1e300, blowup_threshold=1e300), (3, 1, 2), 0),
         # d=3, M=8 Keller-Segel: the from-grid GEMM of one member over its rows
         (dict(d=3, M=8, b=1.0, S=10.0, dt=5e-5, t_end=6e-4, zeta="keller_segel", seed=5,
               init={"mean": 1.0, "delta0": 0.05}, snapshot_stride=4), (2, 4), 1),
-        # N = 2 leaves at step 164, N = 1 at step 170
+        # N = 2 blows up at step 164, N = 1 at step 170
         (LARGEST_FIRST, (2, 1), 3),
-        # the divergence form: V's coefficients of the members left re-made
+        # the divergence form: each member that blew up a zero block, its forcing 0
         (KS_STAGGERED, (3, 1, 2), 0),
         # the cut-off acts: the members step at their own values in (0, 1), or one
         # of them at 0 while the other is not
@@ -498,7 +499,7 @@ class TestBatch:
             batch = dyn.integrate_batch(cfgs, run)
             for cfg, rec in zip(cfgs, batch):
                 _same_record(rec, dyn.integrate(cfg, run))
-                # built once when the run ends, also for a member that left the stack early
+                # built once when the run ends, also for a member that blew up early
                 for name in ("times", "l2", "hs", "hneg_gamma", "mean", "cutoff"):
                     a = getattr(rec, name)
                     assert a.dtype == np.float64 and a.flags.c_contiguous, name
@@ -551,25 +552,29 @@ class TestBatch:
         dyn.integrate(cfg)
         assert channels == [cfg.d if zeta == "keller_segel" else 1] * cfg.n_steps
 
-    def test_member_left_draws_at_its_own_width(self, monkeypatch):
-        # after the largest noise leaves, the member left reads each step's rows
-        # of a draw at its own width: its velocity passes allocate no more than
-        # those of its own engine on a buffer of its own
-        cfgs = [make_cfg(noise_N=N, **LARGEST_FIRST) for N in (2, 1)]
-        calls = []
-        velocity = dyn._Engine.velocity
-        monkeypatch.setattr(dyn._Engine, "velocity",
-                            lambda eng, dw: calls.append((eng, dw)) or velocity(eng, dw))
-        dyn.integrate_batch(cfgs, 3)
-        monkeypatch.undo()
-        eng, dw = calls[-1]  # the last block, after N = 2 left at step 164
-        own = dyn._Engine(cfgs[1])
-        assert eng.theta.n_half == own.theta.n_half < calls[0][1].shape[1]
-        own_dw = nm.draw_increments(own.theta, 1e-5, [np.random.default_rng(k) for k in range(len(dw))],
-                                    nm.increment_buffer(own.theta, len(dw)))
-        left, _ = _steady_allocations(lambda: eng.velocity(dw))
-        alone, _ = _steady_allocations(lambda: own.velocity(own_dw))
-        assert left <= alone
+    def test_one_engine_and_one_draw_buffer_per_call(self, monkeypatch):
+        # the members blow up at three different steps, and each stays in the
+        # stack as a zero block whose forcing is exactly 0: nothing is rebuilt,
+        # and the run ends when the last member blows up
+        cfgs = [make_cfg(noise_N=N, **STAGGERED) for N in (3, 1, 2)]
+        built, buffers, zeros = [], [], []
+        engine, buffer, drift = dyn._Engine.__init__, nm.increment_buffer, dyn._Engine.drift_block
+
+        def drift_block(eng, blocks, *args):
+            g = drift(eng, blocks, *args)
+            zeros.append([(not u.any(), not g_b.any()) for u, g_b in zip(blocks, g)])
+            return g
+
+        monkeypatch.setattr(dyn._Engine, "__init__",
+                            lambda eng, *c: built.append(c) or engine(eng, *c))
+        monkeypatch.setattr(dyn._Engine, "drift_block", drift_block)
+        monkeypatch.setattr(nm, "increment_buffer", lambda *a: buffers.append(a) or buffer(*a))
+        batch = dyn.integrate_batch(cfgs)
+        assert built == [tuple(cfgs)] and len(buffers) == 1
+        left = [round(rec.blowup_time / rec.dt) for rec in batch]
+        assert len(set(left)) == 3 and len(zeros) == max(left)
+        for n, row in enumerate(zeros):
+            assert row == [(n >= m, n >= m) for m in left], n
 
     def test_refuses_configs_that_differ_in_more_than_the_noise(self):
         cfg = make_cfg(M=4, b=1.0, noise_N=2)

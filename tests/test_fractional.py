@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,24 @@ class TestVolterraHistory:
     def test_tail_folded_into_few_modes(self):
         hist = VolterraHistory(kernel_increments(0.9, 2.5e-5, 2000), 1)
         assert hist.n_modes <= 80
+
+    def test_fold_allocates_nothing_of_the_modes_size(self):
+        # every _FOLD_BLOCK pushes the oldest rows are folded into the modes in
+        # place; a broadcast decay and a fresh product took 147 kB per fold at
+        # this size (d=2, M=8, beta = 0.9: 60 modes of 306 floats)
+        P = 153
+        hist = VolterraHistory(kernel_increments(0.9, 2.5e-5, 2000), P)
+        g = np.full(P, 0.5 + 0.25j)
+        peaks = []
+        for _ in range(200):  # folds at pushes 81 and 145
+            tracemalloc.start()
+            try:
+                hist.push(g)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert hist._folded
+        assert max(peaks) < hist._modes.nbytes // 8
 
     def test_uncompressible_kernel_refused(self):
         # beta = 1 has no sum-of-exponentials tail (sin(pi beta) = 0)
