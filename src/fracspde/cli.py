@@ -198,8 +198,7 @@ def _cmd_ml(args) -> int:
 
 def _cmd_noise_audit(args) -> int:
     theta = noise_mod.make_theta_cutoff(args.N, args.d)
-    basis = noise_mod.build_noise_basis(theta)
-    mat = noise_mod.isotropy_matrix(theta, basis)
+    mat = noise_mod.isotropy_matrix(theta)
     print(json.dumps({
         "d": args.d,
         "N": args.N,

@@ -38,7 +38,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache, partial
+from functools import partial
 from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
@@ -400,7 +400,7 @@ class _Velocity:
     """
 
     def __init__(self, d: int, noise, K: int, n: int, block: np.ndarray, transform=None):
-        """noise is the (theta, basis, A) of the transport term, n >= its n_half
+        """noise is the (theta, A) of the transport term, n >= its n_half
         the modes of each step of the draw (the batch's largest noise); the
         coefficients of K steps go to block (K d, L+1, 2L+1, ..., 2L+1), whose
         entries off the support stay zero.
@@ -411,12 +411,12 @@ class _Velocity:
         broadcast, a cast, or rows it cannot run as one strided line.  The
         one-step index tables are moved to each step's rows and channels.
         """
-        theta, basis, A = noise
+        theta, A = noise
         half, nh, L = theta.half_modes, theta.n_half, block.shape[1] - 1
         self._n, self._transform = n, transform
         # V_m[a] = sum_j q[j, a, m] dW^{m,j}
         q = np.zeros((d - 1, d, K, n), np.complex128)
-        q[..., :nh] = ((A * theta.half_values) * basis.q.transpose(1, 2, 0))[:, :, None]
+        q[..., :nh] = ((A * theta.half_values) * theta.q.transpose(1, 2, 0))[:, :, None]
         # the modes m of V_m and -m of V_{-m} = conj(V_m) with a first component >= 0
         # (both of a pair with m_0 = 0): flat positions in one step's (V_m, V_{-m})
         # rows (2, d, n_half) and in its d channels of the block.  Selected in
@@ -504,7 +504,7 @@ class GridPass(sp.GridTransform):
 
     def __init__(self, d: int, M: int, zeta: str = "none", noise=None):
         """noise is None (the noise off, one member) or a list with the
-        (theta, basis, A) of each member's transport term."""
+        (theta, A) of each member's transport term."""
         radii = [int(np.max(np.abs(n[0].half_modes))) for n in noise or ()]
         N = max(radii, default=0)
         super().__init__(d, M, _grid_size(M, N))
@@ -667,13 +667,6 @@ class GridPass(sp.GridTransform):
         return h
 
 
-@lru_cache(maxsize=16)
-def _noise_support(N: int, d: int):
-    """(theta, basis) of the cut-off noise at radius N, shared by every run at that level."""
-    theta = noise_mod.make_theta_cutoff(N, d)
-    return theta, noise_mod.build_noise_basis(theta)
-
-
 class _Engine(GridPass):
     """Linear multipliers, norm weights and the grid pass of the configs of a
     batch, on the half block: cfg, and others that differ from it in noise_N
@@ -685,8 +678,8 @@ class _Engine(GridPass):
         if cfg.noise_N > 0:
             noise = []
             for c in (cfg,) + others:
-                theta, basis = _noise_support(c.noise_N, c.d)
-                noise.append((theta, basis, noise_mod.amplitude_A(c.b, theta) / c.dt))
+                theta = noise_mod.make_theta_cutoff(c.noise_N, c.d)
+                noise.append((theta, noise_mod.amplitude_A(c.b, theta) / c.dt))
         super().__init__(cfg.d, cfg.M, cfg.zeta, noise)
         # one row per member: a product of operands of one shape is numpy's fast path
         lin = (-(self.lap**cfg.s) - cfg.b * self.lap).astype(np.complex128)

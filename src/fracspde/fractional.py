@@ -54,13 +54,9 @@ def kernel_increments(beta: float, dt: float, n: int) -> np.ndarray:
     if n < 0:
         raise InvalidParameterError(f"lag count n must be >= 0, got {n}")
     j = np.arange(n + 1, dtype=np.float64)
-    if beta == 1.0:
-        c = np.full(n + 1, dt)
-    else:
-        scale = dt**beta / math.gamma(beta + 1.0)
-        c = np.empty(n + 1)
-        c[1:] = (j[1:] ** beta - j[:-1] ** beta) * scale
+    c = np.empty(n + 1)
     c[0] = 0.0
+    c[1:] = (j[1:] ** beta - j[:-1] ** beta) * (dt**beta / math.gamma(beta + 1.0))
     return c
 
 
@@ -313,8 +309,9 @@ def solve_caputo_scalar_ode(
     beta = 1 this is exactly forward Euler.
 
     Blow-up (threshold crossing or a non-finite iterate) ends the solve and
-    is reported on the trajectory, not raised.  Non-finite dt or t_end, and
-    more than MAX_SCALAR_STEPS steps, are refused before anything is allocated.
+    is reported on the trajectory, not raised.  Non-finite x0, dt, t_end or
+    blowup_threshold, and more than MAX_SCALAR_STEPS steps, are refused before
+    anything is allocated.
     """
     beta = validate_order(beta)
     if not 0.0 < dt < math.inf:
@@ -325,6 +322,10 @@ def solve_caputo_scalar_ode(
         raise InvalidParameterError(
             f"t_end/dt = {t_end / dt:.6g} steps exceeds the cap of {MAX_SCALAR_STEPS}")
     x0 = float(x0)
+    if not math.isfinite(x0):
+        raise InvalidParameterError(f"x0 must be finite, got {x0}")
+    if not math.isfinite(blowup_threshold):
+        raise InvalidParameterError(f"blowup_threshold must be finite, got {blowup_threshold}")
     if not blowup_threshold > abs(x0):
         raise InvalidParameterError(
             f"blowup_threshold {blowup_threshold} must exceed |x0| = {abs(x0)}"

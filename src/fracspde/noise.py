@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -45,7 +46,8 @@ class ThetaSequence:
 
     Stored on canonical pair representatives, sorted by (max-norm radius,
     lexicographic order) so a larger cutoff only appends rows; the full
-    support (both signs) is what counts toward the l2 norm.
+    support (both signs) is what counts toward the l2 norm.  q holds the
+    directions of sigma_{m,j} = q_{m,j} e^{2 pi i m.x}.
     """
 
     d: int
@@ -53,6 +55,7 @@ class ThetaSequence:
     half_values: np.ndarray
 
     def __post_init__(self):
+        _validate_dim(self.d)
         hm = np.ascontiguousarray(self.half_modes, dtype=np.int64)
         hv = np.ascontiguousarray(self.half_values, dtype=np.float64)
         if hm.ndim != 2 or hm.shape[1] != self.d or hv.shape != (hm.shape[0],):
@@ -104,6 +107,20 @@ class ThetaSequence:
         row, _ = _pair_row(self.half_modes, m)
         return 0.0 if row is None else float(self.half_values[row])
 
+    @cached_property
+    def q(self) -> np.ndarray:
+        """The directions q_{m,j} of each half mode, read-only, (n_half, d-1, d)."""
+        q = np.stack([build_orthonormal_complement(m, self.d) for m in self.half_modes])
+        q.flags.writeable = False
+        return q
+
+    def vectors(self, m: Iterable[int]) -> np.ndarray:
+        """The d-1 orthonormal vectors for m (identical for m and -m)."""
+        row, _ = _pair_row(self.half_modes, m)
+        if row is None:
+            raise ShapeError(f"wavevector {tuple(m)} is not in the theta support")
+        return self.q[row]
+
 
 def validate_radius(N: int, d: int):
     """Refuse a cutoff radius N below 1, or one whose (2N+1)^d lattice points
@@ -118,8 +135,9 @@ def validate_radius(N: int, d: int):
         )
 
 
+@lru_cache(maxsize=16)
 def make_theta_cutoff(N: int, d: int) -> ThetaSequence:
-    """theta_m = 1 on 0 < ||m||_inf <= N; the l_inf/l2 ratio decays as N grows."""
+    """theta_m = 1 on 0 < ||m||_inf <= N, one per (N, d); l_inf/l2 decays as N grows."""
     validate_radius(N, d)
     half = canonical_half_modes(d, N)
     return ThetaSequence(d, half, np.ones(len(half)))
@@ -149,49 +167,13 @@ def build_orthonormal_complement(m: Iterable[int], d: int) -> np.ndarray:
     return q
 
 
-@dataclass(frozen=True)
-class NoiseBasis:
-    """q_{m,j} direction vectors aligned with a theta sequence's half modes."""
-
-    d: int
-    half_modes: np.ndarray
-    q: np.ndarray  # shape (n_half, d-1, d)
-
-    def __post_init__(self):
-        q = np.array(self.q, dtype=np.float64)
-        if q.shape != (self.half_modes.shape[0], self.d - 1, self.d):
-            raise ShapeError("basis array shape does not match its support")
-        q.flags.writeable = False
-        object.__setattr__(self, "q", q)
-
-    def vectors(self, m: Iterable[int]) -> np.ndarray:
-        """The d-1 orthonormal vectors for m (identical for m and -m)."""
-        row, _ = _pair_row(self.half_modes, m)
-        if row is None:
-            raise ShapeError(f"wavevector {tuple(m)} is not in the basis support")
-        return self.q[row]
-
-
-def build_noise_basis(theta: ThetaSequence) -> NoiseBasis:
-    q = np.stack(
-        [build_orthonormal_complement(m, theta.d) for m in theta.half_modes]
-    )
-    return NoiseBasis(d=theta.d, half_modes=theta.half_modes, q=q)
-
-
-def _check_aligned(theta: ThetaSequence, basis: NoiseBasis):
-    if basis.d != theta.d or not np.array_equal(basis.half_modes, theta.half_modes):
-        raise ShapeError("noise basis was not built on this theta support")
-
-
-def isotropy_matrix(theta: ThetaSequence, basis: NoiseBasis) -> np.ndarray:
+def isotropy_matrix(theta: ThetaSequence) -> np.ndarray:
     """sum_m theta_m^2 sum_j q_{m,j} (x) q_{m,j} over the full support.
 
     For supports closed under m -> -m and under the coordinate symmetries,
     with theta constant on orbits, this equals ((d-1)/d) ||theta||_{l2}^2 I.
     """
-    _check_aligned(theta, basis)
-    half = np.einsum("m,mja,mjb->ab", theta.half_values**2, basis.q, basis.q)
+    half = np.einsum("m,mja,mjb->ab", theta.half_values**2, theta.q, theta.q)
     return 2.0 * half
 
 
@@ -264,13 +246,8 @@ def draw_increments(theta: ThetaSequence, dt: float, rngs: Iterable[np.random.Ge
     return rows.view(np.complex128)[..., 0]
 
 
-def transport_term(
-    u: SpectralField,
-    theta: ThetaSequence,
-    basis: NoiseBasis,
-    inc: NoiseIncrements,
-    A: float,
-) -> SpectralField:
+def transport_term(u: SpectralField, theta: ThetaSequence, inc: NoiseIncrements,
+                   A: float) -> SpectralField:
     """A sum_{m,j} theta_m (sigma_{m,j} . grad u) Delta W^{m,j}, truncated to M.
 
     Computed by the integrator's grid pass (dynamics.GridPass).  The result
@@ -281,9 +258,8 @@ def transport_term(
 
     if not np.array_equal(inc.half_modes, theta.half_modes):
         raise ShapeError("increments were not sampled on this theta support")
-    _check_aligned(theta, basis)
     if theta.d != u.d:
         raise ShapeError(f"theta dimension {theta.d} does not match d = {u.d}")
-    kernel = GridPass(u.d, u.M, noise=[(theta, basis, A)])
+    kernel = GridPass(u.d, u.M, noise=[(theta, A)])
     half = kernel.zeta_block(u.coeffs[None, u.M:], kernel.velocity(inc.values[None])[0])[0]
     return SpectralField(u.d, u.M, hermitian_block(half))

@@ -232,7 +232,7 @@ def shift_gradient_apply(u, m, q, M_out):
     return SpectralField(d, M_out, out)
 
 
-def ito_corrector_apply(u, theta, basis, A):
+def ito_corrector_apply(u, theta, A):
     """Double-shift contraction A^2 sum theta_m^2 sigma_{m,j}.grad(sigma_{-m,j}.grad u).
 
     The intermediate field keeps the enlarged cutoff M + pad so no energy is
@@ -245,7 +245,7 @@ def ito_corrector_apply(u, theta, basis, A):
         for sign in (1, -1):
             m = sign * theta.half_modes[i]
             for j in range(theta.d - 1):
-                q = basis.q[i, j]
+                q = theta.q[i, j]
                 inner = shift_gradient_apply(u, -m, q, u.M + pad)
                 outer = shift_gradient_apply(inner, m, q, u.M)
                 out += th2 * outer.coeffs

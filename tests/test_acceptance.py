@@ -83,7 +83,7 @@ def test_criterion_4_isotropy_and_corrector():
     for d in (2, 3):
         for N in (1, 2, 3):
             th = nm.make_theta_cutoff(N, d)
-            mat = nm.isotropy_matrix(th, nm.build_noise_basis(th))
+            mat = nm.isotropy_matrix(th)
             target = (d - 1) / d * th.l2_norm**2 * np.eye(d)
             assert np.max(np.abs(mat - target)) <= 1e-12
     worst = 0.0
@@ -91,11 +91,10 @@ def test_criterion_4_isotropy_and_corrector():
     cases = [(2, 2, 6)] * 10 + [(3, 1, 3)] * 10
     for d, N, M in cases:
         th = nm.make_theta_cutoff(N, d)
-        basis = nm.build_noise_basis(th)
         b = 2.3
         A = nm.amplitude_A(b, th)
         u = sp.random_field(rng, d, M, 1.0, 1.0, mean=0.2)
-        corr = ito_corrector_apply(u, th, basis, A)
+        corr = ito_corrector_apply(u, th, A)
         target = b * sp.frac_laplacian_apply(u, 1.0).coeffs
         worst = max(worst, float(np.max(np.abs(corr.coeffs - target))))
     assert worst <= 1e-10
@@ -186,11 +185,10 @@ def test_criterion_9_determinism_and_invariants(tmp_path):
     # Hermitian symmetry and exact mean conservation of the transport term
     rng = np.random.default_rng(5)
     th = nm.make_theta_cutoff(2, 2)
-    basis = nm.build_noise_basis(th)
     for _ in range(10):
         u = sp.random_field(rng, 2, 6, 1.0, 1.0, mean=0.4)
         inc = nm.sample_increments(th, 1e-3, rng)
-        t_f = nm.transport_term(u, th, basis, inc, 1.2)
+        t_f = nm.transport_term(u, th, inc, 1.2)
         assert t_f.is_hermitian(1e-14)
         assert t_f.coeff((0, 0)) == 0.0
 

@@ -422,8 +422,18 @@ class TestCli:
           "--rhs", "linear:nan"], "--rhs"),
         (["ode", "--beta", "1.0", "--x0", "1.0", "--dt", "1e-3", "--t-end", "0.1",
           "--rhs", "linear:inf"], "--rhs"),
+        # an infinite threshold leaves blow-up to the overflow of the iterate
+        (["ode", "--beta", "0.9", "--x0", "1.5", "--dt", "1e-2", "--t-end", "2",
+          "--threshold", "inf"], "blowup_threshold must be finite"),
+        (["ode", "--beta", "0.9", "--x0", "nan", "--dt", "1e-2", "--t-end", "1"],
+         "x0 must be finite"),
+        (["dichotomy", "--beta", "0.9", "--x0", "1.5", "--dt", "1e-2", "--t-end", "2",
+          "--threshold", "inf"], "blowup_threshold must be finite"),
+        (["dichotomy", "--beta", "0.9", "--x0", "0.5,nan", "--dt", "1e-2", "--t-end", "1"],
+         "x0 must be finite"),
     ], ids=["levels", "duplicate-levels", "x0", "exponents", "exponent-count", "exponents-nan",
-            "exponents-inf", "rhs", "rhs-nan", "rhs-inf"])
+            "exponents-inf", "rhs", "rhs-nan", "rhs-inf", "ode-threshold-inf", "ode-x0-nan",
+            "dichotomy-threshold-inf", "dichotomy-x0-nan"])
     def test_bad_list_input_exit_code(self, tmp_path, capsys, argv, named):
         cfg_path = str(write_config(tmp_path, {"beta": 1.0, "noise_N": 0}))
         argv = [cfg_path if a == "CFG" else a for a in argv]

@@ -202,7 +202,7 @@ class TestGridPass:
         else:  # the pass gives u^2: Fisher's -u is in the linear multiplier
             ref = _dense_product(u.coeffs, u.coeffs) - u.coeffs
             h = h - _half(u)
-        ref = ref + nm.transport_term(u, eng.theta, nm.build_noise_basis(eng.theta), inc,
+        ref = ref + nm.transport_term(u, eng.theta, inc,
                                       nm.amplitude_A(cfg.b, eng.theta)).coeffs / cfg.dt
         assert np.max(np.abs(sp.hermitian_block(h) - ref)) <= 1e-12
 
@@ -225,7 +225,7 @@ class TestGridPass:
         assert np.all(transport == 0.0)
         A = nm.amplitude_A(cfg.b, eng.theta)
         inc = nm.NoiseIncrements(0.01, eng.theta.half_modes, dw)
-        out = nm.transport_term(f, eng.theta, nm.build_noise_basis(eng.theta), inc, A)
+        out = nm.transport_term(f, eng.theta, inc, A)
         assert np.all(out.coeffs == 0.0)
 
     @pytest.mark.parametrize("d,zeta", [(2, "fisher"), (3, "keller_segel")])
@@ -239,8 +239,7 @@ class TestGridPass:
         dw_u, dw_v = (nm.sample_increments(eng.theta, 0.01, rng).values[None] for _ in range(2))
         # the transport over dt: the pass of the noise alone at the amplitude A/dt
         theta = eng.theta
-        alone = dyn.GridPass(d, 3, noise=[(theta, nm.build_noise_basis(theta),
-                                           nm.amplitude_A(cfg.b, theta) / cfg.dt)])
+        alone = dyn.GridPass(d, 3, noise=[(theta, nm.amplitude_A(cfg.b, theta) / cfg.dt)])
         # all 8 combinations of block, cut-off (on, at zero) and increments,
         # forward and back, so each input switches in both directions
         calls = [(blk, lval, dw) for blk in (u, v) for lval in (0.7, 0.0) for dw in (dw_u, dw_v)]
@@ -280,8 +279,7 @@ class TestGridPass:
             assert g[0][mean] == eng.lin_mult[0][mean] * u0
         zeta_f = {"fisher": dyn.zeta_fisher, "keller_segel": dyn.zeta_keller_segel}.get(zeta)
         z = zeta_f(u).coeffs if zeta_f else 0.0
-        t = nm.transport_term(u, eng.theta, nm.build_noise_basis(eng.theta), incs[0],
-                              nm.amplitude_A(cfg.b, eng.theta)).coeffs
+        t = nm.transport_term(u, eng.theta, incs[0], nm.amplitude_A(cfg.b, eng.theta)).coeffs
         lin = sp.hermitian_block(eng.lin_mult[0] * _half(u))
         assert np.max(np.abs(sp.hermitian_block(g[0]) - (lin + lval * z + t / cfg.dt))) <= 1e-12
 
@@ -317,11 +315,10 @@ class TestGridPass:
         rng = np.random.default_rng(13)
         u, v = (sp.random_field(rng, 2, 4, 1.0, 1.0, mean=0.6) for _ in range(2))
         theta = nm.make_theta_cutoff(2, 2)
-        basis = nm.build_noise_basis(theta)
         inc = nm.sample_increments(theta, 0.01, rng)
         A = nm.amplitude_A(1.0, theta)
         funcs = [lambda f: dyn.drift(f, cfg), dyn.zeta_fisher, dyn.zeta_keller_segel,
-                 lambda f: nm.transport_term(f, theta, basis, inc, A)]
+                 lambda f: nm.transport_term(f, theta, inc, A)]
         first = [fn(u) for fn in funcs]
         kept = [f.coeffs.copy() for f in first]
         for fn in funcs:
@@ -806,17 +803,20 @@ class TestNoiseSetup:
     def test_cached_noise_setup_bit_identical(self):
         cfg = make_cfg(M=3, b=1.0, noise_N=2, zeta="fisher", t_end=0.02,
                        init={"mean": 0.4, "delta0": 0.01}, snapshot_stride=20)
-        dyn._noise_support.cache_clear()
+        nm.make_theta_cutoff.cache_clear()
         fresh = dyn.integrate(cfg)
         cached = dyn.integrate(cfg)
         assert np.array_equal(fresh.l2, cached.l2)
         assert np.array_equal(fresh.snapshots[-1][1].coeffs, cached.snapshots[-1][1].coeffs)
 
     def test_noise_basis_read_only(self):
-        # the cached basis is shared by every engine at its (N, d)
-        basis = nm.build_noise_basis(nm.make_theta_cutoff(2, 3))
+        # the cached theta and its q are shared by every engine at their (N, d)
+        theta = nm.make_theta_cutoff(2, 3)
         with pytest.raises(ValueError):
-            basis.q[0, 0, 0] = 1.0
+            theta.q[0, 0, 0] = 1.0
+
+    def test_cutoff_shares_one_theta_per_support(self):
+        assert nm.make_theta_cutoff(3, 2) is nm.make_theta_cutoff(3, 2)
 
     def test_rekeyed_draws_match_step_rng(self, monkeypatch):
         # K = 83 at M = 2: the 200 steps cross two block boundaries and end on a short block

@@ -60,6 +60,24 @@ class TestThetaSequence:
         assert th.value((1, -2)) == 1.0
         assert th.value((5, 5)) == 0.0
 
+    @pytest.mark.parametrize("d,modes", [
+        (1, [(1,), (-1,)]),
+        (4, [(1, 0, 0, 0), (-1, 0, 0, 0)]),
+    ], ids=["d1", "d4"])
+    def test_dimension_outside_two_and_three_refused(self, d, modes):
+        with pytest.raises(InvalidParameterError, match=f"dimension d must be 2 or 3, got {d}"):
+            nm.ThetaSequence.from_support(d, modes, [1.0, 1.0])
+
+    @pytest.mark.parametrize("th", [
+        nm.make_theta_cutoff(2, 3),
+        nm.ThetaSequence.from_support(2, [(1, 2), (-1, -2), (3, 0), (-3, 0)], [0.5] * 4),
+    ], ids=["cutoff-d3", "from-support-d2"])
+    def test_q_rows_are_the_complements_of_their_modes(self, th):
+        assert th.q.shape == (th.n_half, th.d - 1, th.d)
+        for m, q in zip(th.half_modes, th.q):
+            assert np.array_equal(q, nm.build_orthonormal_complement(m, th.d))
+            assert np.array_equal(th.vectors(-m), q)
+
 
 class TestOrthonormalComplement:
     def test_d2_canonical_perpendicular(self):
@@ -109,28 +127,21 @@ class TestVectorizedSetup:
 class TestIsotropy:
     def test_d2_unit_ball(self):
         th = nm.make_theta_cutoff(1, 2)
-        mat = nm.isotropy_matrix(th, nm.build_noise_basis(th))
+        mat = nm.isotropy_matrix(th)
         assert np.max(np.abs(mat - 4.0 * np.eye(2))) <= 1e-12
 
     def test_d3_axis_support(self):
         modes = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
         th = nm.ThetaSequence.from_support(3, modes, np.ones(6))
-        mat = nm.isotropy_matrix(th, nm.build_noise_basis(th))
+        mat = nm.isotropy_matrix(th)
         assert np.max(np.abs(mat - 4.0 * np.eye(3))) <= 1e-12
 
     def test_single_pair_is_rank_deficient(self):
         th = nm.ThetaSequence.from_support(2, [(1, 0), (-1, 0)], [1.0, 1.0])
-        basis = nm.build_noise_basis(th)
-        mat = nm.isotropy_matrix(th, basis)
-        q = basis.vectors((1, 0))[0]
+        mat = nm.isotropy_matrix(th)
+        q = th.vectors((1, 0))[0]
         assert np.allclose(mat, 2.0 * np.outer(q, q))
         assert np.linalg.matrix_rank(mat) == 1
-
-    def test_mismatched_basis_rejected(self):
-        th1 = nm.make_theta_cutoff(1, 2)
-        th2 = nm.make_theta_cutoff(2, 2)
-        with pytest.raises(ShapeError):
-            nm.isotropy_matrix(th2, nm.build_noise_basis(th1))
 
 
 class TestAmplitude:
@@ -199,29 +210,27 @@ class TestIncrements:
 class TestTransport:
     def _setup(self, d=2, M=5, N=1, seed=0):
         th = nm.make_theta_cutoff(N, d)
-        basis = nm.build_noise_basis(th)
         rng = np.random.default_rng(seed)
         u = sp.random_field(rng, d, M, 1.0, 1.0, mean=0.3)
         inc = nm.sample_increments(th, 0.01, rng)
-        return u, th, basis, inc
+        return u, th, inc
 
     def test_constant_field_gives_zero(self):
         u = sp.constant(2, 4, 2.0)
         th = nm.make_theta_cutoff(1, 2)
         inc = nm.sample_increments(th, 0.1, np.random.default_rng(3))
-        t = nm.transport_term(u, th, nm.build_noise_basis(th), inc, 1.5)
+        t = nm.transport_term(u, th, inc, 1.5)
         assert np.all(t.coeffs == 0.0)
 
     def test_single_mode_hand_convolution(self):
         d, M = 2, 4
         u = sp.mode_pair(d, M, (1, 0))
         th = nm.ThetaSequence.from_support(d, [(0, 1), (0, -1)], [1.0, 1.0])
-        basis = nm.build_noise_basis(th)
         inc = nm.NoiseIncrements(dt=1.0, half_modes=th.half_modes,
                                  values=np.array([[1.0 + 0.0j]]))
         A = 2.0
-        t = nm.transport_term(u, th, basis, inc, A)
-        q = basis.vectors((0, 1))[0]
+        t = nm.transport_term(u, th, inc, A)
+        q = th.vectors((0, 1))[0]
         # output at l = k + m collects 2 pi i (q . k) u_k theta dW A
         expect = A * 2j * math.pi * float(q @ np.array([1, 0]))
         assert t.coeff((1, 1)) == pytest.approx(expect, abs=1e-14)
@@ -239,36 +248,36 @@ class TestTransport:
         pytest.param(3, 2, 3, 12, 1.0, id="d3-M2-N3"),
     ])
     def test_matches_bruteforce_shift_sum(self, d, M, N, seed, A):
-        u, th, basis, inc = self._setup(d=d, M=M, N=N, seed=seed)
-        t = nm.transport_term(u, th, basis, inc, A)
+        u, th, inc = self._setup(d=d, M=M, N=N, seed=seed)
+        t = nm.transport_term(u, th, inc, A)
         acc = np.zeros_like(u.coeffs)
         for i in range(th.n_half):
             for sign in (1, -1):
                 m = sign * th.half_modes[i]
                 for j in range(th.d - 1):
                     dw = inc.value(m, j)
-                    sg = shift_gradient_apply(u, m, basis.q[i, j], u.M)
+                    sg = shift_gradient_apply(u, m, th.q[i, j], u.M)
                     acc += A * th.half_values[i] * dw * sg.coeffs
         assert np.max(np.abs(acc - t.coeffs)) <= 1e-13
 
     def test_mean_mode_exactly_zero(self):
         for seed in range(5):
-            u, th, basis, inc = self._setup(seed=seed)
-            t = nm.transport_term(u, th, basis, inc, 1.0)
+            u, th, inc = self._setup(seed=seed)
+            t = nm.transport_term(u, th, inc, 1.0)
             assert t.coeff((0, 0)) == 0.0
 
     def test_hermitian_symmetry_exact(self):
         for seed in range(5):
-            u, th, basis, inc = self._setup(M=6, N=2, seed=seed)
-            t = nm.transport_term(u, th, basis, inc, 1.3)
+            u, th, inc = self._setup(M=6, N=2, seed=seed)
+            t = nm.transport_term(u, th, inc, 1.3)
             assert t.is_hermitian(1e-14)
 
     def test_mismatched_support_rejected(self):
-        u, th, basis, _ = self._setup()
+        u, th, _ = self._setup()
         other = nm.make_theta_cutoff(2, 2)
         inc = nm.sample_increments(other, 0.1, np.random.default_rng(6))
         with pytest.raises(ShapeError):
-            nm.transport_term(u, th, basis, inc, 1.0)
+            nm.transport_term(u, th, inc, 1.0)
 
 
 class TestItoCorrector:
@@ -276,11 +285,10 @@ class TestItoCorrector:
     def test_double_shift_equals_b_laplacian(self, d, N, M):
         rng = np.random.default_rng(11)
         th = nm.make_theta_cutoff(N, d)
-        basis = nm.build_noise_basis(th)
         b = 2.4
         A = nm.amplitude_A(b, th)
         u = sp.random_field(rng, d, M, 1.0, 1.0, mean=0.1)
-        corr = ito_corrector_apply(u, th, basis, A)
+        corr = ito_corrector_apply(u, th, A)
         target = b * sp.frac_laplacian_apply(u, 1.0).coeffs
         assert np.max(np.abs(corr.coeffs - target)) <= 1e-10
 
@@ -289,7 +297,6 @@ class TestItoCorrector:
         # 2 dt b ||grad u||^2; u is band-limited so truncation is lossless
         d, M, N, b, dt = 2, 6, 2, 1.5, 1e-3
         th = nm.make_theta_cutoff(N, d)
-        basis = nm.build_noise_basis(th)
         A = nm.amplitude_A(b, th)
         rng = np.random.default_rng(12)
         inner = sp.random_field(rng, d, M - N, 2.0, 1.0)
@@ -301,7 +308,7 @@ class TestItoCorrector:
         base = sp.sobolev_norm(u, 0.0) ** 2
         for i in range(n):
             inc = nm.sample_increments(th, dt, rng)
-            t = nm.transport_term(u, th, basis, inc, A)
+            t = nm.transport_term(u, th, inc, A)
             samples[i] = sp.sobolev_norm(
                 sp.SpectralField(d, M, u.coeffs + t.coeffs), 0.0
             ) ** 2 - base
@@ -311,7 +318,7 @@ class TestItoCorrector:
     def test_cross_term_is_exactly_antisymmetric(self):
         # <u, sigma.grad u> = 0: the transport never changes ||u||^2 at first
         # order, for every increment realization
-        u, th, basis, inc = TestTransport()._setup(M=6, N=1, seed=13)
-        t = nm.transport_term(u, th, basis, inc, 1.0)
+        u, th, inc = TestTransport()._setup(M=6, N=1, seed=13)
+        t = nm.transport_term(u, th, inc, 1.0)
         cross = sp.l2_inner(u, t)
         assert abs(cross) <= 1e-12 * sp.sobolev_norm(u, 0.0) * sp.sobolev_norm(t, 0.0)
