@@ -782,7 +782,7 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
     u = np.repeat(u0[None], B, axis=0)  # the members' blocks, updated in place
     # per member: the time, l2, hs, hneg_gamma, mean and cutoff of each recorded step,
     # a row of floats packed into a flat buffer (no numpy call per step); the
-    # record's arrays are built from its first n_rec rows when the run ends
+    # record's arrays are views of the columns of its first n_rec rows, not a copy
     runs = [SimpleNamespace(cfg=c, rows=memoryview(np.empty((steps + 1, 6))), snapshots=[],
                             n_rec=steps + 1, blowup_time=None, u=blk, flat=blk.reshape(-1),
                             hist=None if classical else VolterraHistory(c_hist, u0.size))
@@ -847,7 +847,7 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
 
     records = []
     for run in runs:
-        times, l2, hs, hneg, mean, cut = np.asarray(run.rows)[:run.n_rec].T.copy()
+        times, l2, hs, hneg, mean, cut = np.asarray(run.rows)[:run.n_rec].T
         records.append(TrajectoryRecord(
             times=times,
             l2=l2,

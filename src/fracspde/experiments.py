@@ -101,7 +101,9 @@ def _run_ensembles(cfgs: List[dyn.SimConfig], n_runs: int,
 
     Run k of the configs that share a dynamics.batch_key is one job, a batch;
     a config without a key (the noise off) runs alone.  The largest batches
-    come first on the job list.
+    come first on the job list.  Of w workers, the caller is one: it steps
+    every w-th job itself while a pool of w - 1 forked processes steps the
+    rest.
     """
     if n_runs < 1:
         raise InvalidParameterError(f"n_runs must be >= 1, got {n_runs}")
@@ -120,8 +122,17 @@ def _run_ensembles(cfgs: List[dyn.SimConfig], n_runs: int,
         # (io does) 10-15 ms, and a serial run never needs it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=w) as pool:
-            results = list(pool.map(_run_batch, jobs, chunksize=max(1, len(jobs) // (4 * w))))
+        results = [None] * len(jobs)
+        pooled = [i for i in range(len(jobs)) if i % w]
+        pool = ProcessPoolExecutor(max_workers=w - 1)
+        try:
+            out = pool.map(_run_batch, [jobs[i] for i in pooled],
+                           chunksize=max(1, len(pooled) // (4 * (w - 1))))
+            results[::w] = [_run_batch(j) for j in jobs[::w]]
+            for i, summaries in zip(pooled, out):
+                results[i] = summaries
+        finally:  # after a raise, the jobs not yet started are dropped
+            pool.shutdown(cancel_futures=True)
     runs = [[None] * n_runs for _ in cfgs]
     for (batch, k), summaries in zip(order, results):
         for i, summary in zip(batch, summaries):

@@ -308,8 +308,9 @@ def solve_caputo_scalar_ode(
     w[n][k] = c_{n-k} of kernel_increments, summed by a VolterraHistory; at
     beta = 1 this is exactly forward Euler.
 
-    Blow-up (threshold crossing or a non-finite iterate) ends the solve and
-    is reported on the trajectory, not raised.  Non-finite x0, dt, t_end or
+    rhs is called on a Python float.  Blow-up (a threshold crossing, or a
+    non-finite rhs value or iterate) ends the solve at the next grid time
+    and is reported on the trajectory, not raised.  Non-finite x0, dt, t_end or
     blowup_threshold, and more than MAX_SCALAR_STEPS steps, are refused before
     anything is allocated.
     """
@@ -343,21 +344,23 @@ def solve_caputo_scalar_ode(
         hist = VolterraHistory(kernel_increments(beta, dt, n_steps), 1)
     running = 0.0
 
+    x = x0
     for n in range(n_steps):
-        f = rhs(values[n])
-        if classical:
-            running += f
-            x_next = x0 + dt * running
-        else:
-            x_next = x0 + float(hist.push(f)[0].real)
+        f = float(rhs(x))  # on a Python float, an overflow is inf, not a numpy warning
+        if math.isfinite(f):  # a non-finite f never enters the history
+            if classical:
+                running += f
+                x = x0 + dt * running
+            else:
+                x = x0 + float(hist.push(f)[0].real)
         t_next = (n + 1) * dt
-        if not math.isfinite(x_next):
+        if not (math.isfinite(f) and math.isfinite(x)):
             blew_up = True
             blowup_time = t_next
             break
-        values[n_recorded] = x_next
+        values[n_recorded] = x
         n_recorded += 1
-        if abs(x_next) > blowup_threshold:
+        if abs(x) > blowup_threshold:
             blew_up = True
             blowup_time = t_next
             break

@@ -67,30 +67,6 @@ class ThetaSequence:
         object.__setattr__(self, "half_modes", hm)
         object.__setattr__(self, "half_values", hv)
 
-    @classmethod
-    def from_support(cls, d: int, modes, values) -> "ThetaSequence":
-        """Build from the full two-sided support, validating the symmetry."""
-        table = {}
-        for m, v in zip(modes, values):
-            key = tuple(int(c) for c in m)
-            if all(c == 0 for c in key):
-                raise InvalidParameterError("theta support must exclude m = 0")
-            table[key] = float(v)
-        half = {}
-        for key, v in table.items():
-            neg = tuple(-c for c in key)
-            if neg not in table or table[neg] != v:
-                raise InvalidParameterError(
-                    f"theta is not symmetric at m = {key}: need theta_m = theta_-m"
-                )
-            half[canonical_pair_rep(key)] = v
-        reps = sorted(half, key=lambda v: (max(abs(c) for c in v), v))
-        return cls(
-            d=d,
-            half_modes=np.array(reps, dtype=np.int64),
-            half_values=np.array([half[r] for r in reps]),
-        )
-
     @property
     def n_half(self) -> int:
         return self.half_modes.shape[0]

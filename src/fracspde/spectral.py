@@ -173,25 +173,12 @@ def from_modes(d: int, M: int, entries: dict) -> SpectralField:
     return SpectralField(d, M, arr)
 
 
-def mode_pair(d: int, M: int, k: Iterable[int], amplitude: complex = 1.0) -> SpectralField:
-    """Field with coefficients `amplitude` at k and conj(amplitude) at -k."""
-    k = tuple(int(c) for c in k)
-    return from_modes(d, M, {k: amplitude, tuple(-c for c in k): np.conj(amplitude)})
-
-
 def sobolev_norm(f: SpectralField, s: float) -> float:
     """Inhomogeneous Sobolev norm (sum_k (1+|k|^2)^s |c_k|^2)^(1/2).
 
     Negative s gives the H^{-gamma} norms consumed by the cut-off.
     """
     w = (1.0 + _ksq_grid(f.d, f.M)) ** s
-    return float(np.sqrt(np.sum(w * np.abs(f.coeffs) ** 2)))
-
-
-def homogeneous_seminorm(f: SpectralField, s: float) -> float:
-    """Diagnostic seminorm ||(-Laplace)^(s/2) f||_{L^2} (mean mode dropped)."""
-    ksq = _ksq_grid(f.d, f.M)
-    w = np.where(ksq > 0.0, (4.0 * np.pi**2 * ksq) ** s, 0.0)
     return float(np.sqrt(np.sum(w * np.abs(f.coeffs) ** 2)))
 
 

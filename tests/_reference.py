@@ -34,6 +34,10 @@ the delayed blow-up).
 
 canonical_half_modes_loop builds the canonical half modes one wavevector
 at a time; spectral.canonical_half_modes must reproduce it bitwise.
+
+mode_pair, homogeneous_seminorm and theta_from_support build the test
+fields, the homogeneous seminorm the tests measure them by, and a theta
+sequence from its full two-sided support.
 """
 
 import math
@@ -43,7 +47,8 @@ from scipy.signal import convolve2d
 
 from fracspde import dynamics as dyn
 from fracspde import noise as nm
-from fracspde.errors import InvalidInputError, ShapeError
+from fracspde import spectral as sp
+from fracspde.errors import InvalidInputError, InvalidParameterError, ShapeError
 from fracspde.spectral import TWO_PI, SpectralField
 
 
@@ -323,3 +328,39 @@ def canonical_half_modes_loop(d, M):
     modes.sort(key=lambda v: (max(abs(c) for c in v), v))
     return np.array(modes, dtype=np.int64).reshape(len(modes), d)
 
+
+def mode_pair(d, M, k, amplitude=1.0):
+    """Field with coefficients `amplitude` at k and conj(amplitude) at -k."""
+    k = tuple(int(c) for c in k)
+    return sp.from_modes(d, M, {k: amplitude, tuple(-c for c in k): np.conj(amplitude)})
+
+
+def homogeneous_seminorm(f, s):
+    """The seminorm ||(-Laplace)^(s/2) f||_{L^2} (mean mode dropped)."""
+    ksq = sp._ksq_grid(f.d, f.M)
+    w = np.where(ksq > 0.0, (4.0 * np.pi**2 * ksq) ** s, 0.0)
+    return float(np.sqrt(np.sum(w * np.abs(f.coeffs) ** 2)))
+
+
+def theta_from_support(d, modes, values):
+    """ThetaSequence from the full two-sided support, validating the symmetry."""
+    table = {}
+    for m, v in zip(modes, values):
+        key = tuple(int(c) for c in m)
+        if all(c == 0 for c in key):
+            raise InvalidParameterError("theta support must exclude m = 0")
+        table[key] = float(v)
+    half = {}
+    for key, v in table.items():
+        neg = tuple(-c for c in key)
+        if neg not in table or table[neg] != v:
+            raise InvalidParameterError(
+                f"theta is not symmetric at m = {key}: need theta_m = theta_-m"
+            )
+        half[nm.canonical_pair_rep(key)] = v
+    reps = sorted(half, key=lambda v: (max(abs(c) for c in v), v))
+    return nm.ThetaSequence(
+        d=d,
+        half_modes=np.array(reps, dtype=np.int64),
+        half_values=np.array([half[r] for r in reps]),
+    )

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,19 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["0.5"]["blew_up"] is False
         assert payload["2.0"]["blew_up"] is True
+
+    @pytest.mark.parametrize("beta", ["1.0", "0.9"])
+    def test_dichotomy_threshold_past_the_overflow(self, capsys, beta):
+        # x*x - x overflows before x crosses 1e300: the solve ends there as a blow-up
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main(["dichotomy", "--beta", beta, "--x0", "1.5", "--threshold", "1e300",
+                           "--dt", "1e-2", "--t-end", "2"])
+        assert rc == 0
+        row = json.loads(capsys.readouterr().out)["1.5"]
+        assert row["blew_up"] is True
+        assert math.isfinite(row["blowup_time"]) and row["blowup_time"] < 2.0
+        assert math.isfinite(row["final_value"]) and row["final_value"] <= 1e300
 
     def test_simulate_roundtrip(self, tmp_path, capsys):
         cfg_path = write_config(

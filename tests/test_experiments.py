@@ -1,10 +1,12 @@
 import concurrent.futures
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -109,10 +111,34 @@ def curve_fields(c):
 
 class CountingPool(ProcessPoolExecutor):
     started = 0
+    sizes = []  # the max_workers of each pool started
 
     def __init__(self, *args, **kwargs):
         type(self).started += 1
+        type(self).sizes.append(kwargs["max_workers"])
         super().__init__(*args, **kwargs)
+
+
+# the delay_ensemble benchmark's study: levels 0, 2, 4 and two runs are 4 jobs, the
+# N = 2, 4 batch of run 0 and of run 1, then level 0's run 0 and run 1
+DELAY_ENSEMBLE = dyn.SimConfig(d=2, M=4, s=1.0, beta=1.0, b=2.0, S=1e7, dt=1e-4, t_end=2.0,
+                               zeta="fisher", init={"mean": 2.0, "delta0": 2.0}, seed=4)
+
+
+def record_caller_jobs(monkeypatch, fail=False):
+    """Patch integrate_batch (integrate is its batch of one) to record, or to raise
+    on, the jobs this process steps; forked pool workers step theirs unrecorded."""
+    caller, batch, calls = os.getpid(), xp.dyn.integrate_batch, []
+
+    def in_caller(cfgs, k):
+        if os.getpid() == caller:
+            if fail:
+                raise RuntimeError("a job of the caller's share")
+            calls.append(([c.noise_N for c in cfgs], k))
+        return batch(cfgs, k)
+
+    monkeypatch.setattr(xp.dyn, "integrate_batch", in_caller)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -128,12 +154,13 @@ class TestDelayStudy:
         assert [c.noise_N for c in res.curves] == [1, 2]
 
     def test_workers_do_not_change_result(self, study_012, monkeypatch):
-        monkeypatch.setattr(xp, "resolve_workers", lambda workers: workers)  # a pool of 2
-        res = xp.delay_study(blowup_cfg(**NOISY), [0, 1, 2], n_runs=2, workers=2)
-        assert res.reference_time == study_012.reference_time
-        assert res.levels == study_012.levels
-        assert [curve_fields(c) for c in res.curves] == [
-            curve_fields(c) for c in study_012.curves]
+        monkeypatch.setattr(xp, "resolve_workers", lambda workers: workers)
+        for workers in (2, 3):  # the caller and a pool of 1, then of 2
+            res = xp.delay_study(blowup_cfg(**NOISY), [0, 1, 2], n_runs=2, workers=workers)
+            assert res.reference_time == study_012.reference_time
+            assert res.levels == study_012.levels
+            assert [curve_fields(c) for c in res.curves] == [
+                curve_fields(c) for c in study_012.curves]
 
     def test_curves_match_ensemble_survival(self, study_012):
         for N, curve in zip([0, 1, 2], study_012.curves):
@@ -151,6 +178,39 @@ class TestDelayStudy:
         res = xp.delay_study(blowup_cfg(**NOISY), [1, 2], n_runs=2, workers=2)
         assert CountingPool.started == 1
         assert [lv.noise_N for lv in res.levels] == [1, 2]
+
+    def test_caller_steps_every_wth_job(self, monkeypatch):
+        # 2 workers are the caller and one forked process: the caller steps jobs
+        # 0 and 2 of the largest-first list, the pool jobs 1 and 3
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(xp, "resolve_workers", lambda workers: workers)
+        CountingPool.started, CountingPool.sizes = 0, []
+        calls = record_caller_jobs(monkeypatch)
+        res = xp.delay_study(replace(DELAY_ENSEMBLE, dt=1e-3), [0, 2, 4], n_runs=2, workers=2)
+        assert CountingPool.sizes == [1]
+        assert calls == [([2, 4], 0), ([0], 0)]
+        assert all(t is not None for lv in res.levels for t in lv.blowup_times)
+
+    def test_raise_in_callers_share_leaves_no_child(self, monkeypatch):
+        # the pool's 5 jobs take longer than the caller's raise: it propagates, the
+        # jobs not yet started are dropped, and the one worker is joined
+        monkeypatch.setattr(xp, "resolve_workers", lambda workers: workers)
+        assert multiprocessing.active_children() == []
+        ran = multiprocessing.Value("i", 0)  # shared with the forked worker
+        one = xp.dyn.integrate
+
+        def counted(cfg, run_index):
+            with ran.get_lock():
+                ran.value += 1
+            return one(cfg, run_index=run_index)
+
+        monkeypatch.setattr(xp.dyn, "integrate", counted)
+        record_caller_jobs(monkeypatch, fail=True)
+        cfg = dyn.with_noise_level(blowup_cfg(**NOISY), 2)
+        with pytest.raises(RuntimeError, match="caller's share"):
+            xp.ensemble_survival(cfg, n_runs=10, workers=2)
+        assert multiprocessing.active_children() == []
+        assert ran.value < 1 + 5  # the caller's first job and fewer than the pool's 5
 
     def test_noise_levels_of_a_run_are_one_batch(self, monkeypatch):
         # levels 1 and 2 share the grid (R = 7): run k of both is one job; the
@@ -181,15 +241,16 @@ class TestDelayStudy:
         assert out.stdout.strip() == "False"
 
     def test_delay_ensemble_study_independent_of_workers(self, monkeypatch):
-        # the benchmark's study (levels 0, 2, 4; two runs): one pool of 2 and no
-        # pool give the same blow-up times, so the batches do not depend on scheduling
-        cfg = dyn.SimConfig(d=2, M=4, s=1.0, beta=1.0, b=2.0, S=1e7, dt=1e-4, t_end=2.0,
-                            zeta="fisher", init={"mean": 2.0, "delta0": 2.0}, seed=4)
+        # the benchmark's study: 2 or 3 workers and no pool give the same blow-up
+        # times, so the batches do not depend on scheduling
+        cfg = DELAY_ENSEMBLE
         serial = xp.delay_study(cfg, [0, 2, 4], n_runs=2, workers=1)
-        monkeypatch.setattr(xp, "resolve_workers", lambda workers: workers)  # a pool of 2
-        pooled = xp.delay_study(cfg, [0, 2, 4], n_runs=2, workers=2)
-        assert pooled.levels == serial.levels
-        assert [curve_fields(c) for c in pooled.curves] == [curve_fields(c) for c in serial.curves]
+        monkeypatch.setattr(xp, "resolve_workers", lambda workers: workers)
+        for workers in (2, 3):  # the caller and a pool of 1, then of 2
+            pooled = xp.delay_study(cfg, [0, 2, 4], n_runs=2, workers=workers)
+            assert pooled.levels == serial.levels
+            assert [curve_fields(c) for c in pooled.curves] == [
+                curve_fields(c) for c in serial.curves]
         alone = [dyn.integrate(dyn.with_noise_level(cfg, N), k).blowup_time
                  for N in (0, 2, 4) for k in range(2)]
         assert [t for lv in serial.levels for t in lv.blowup_times] == alone

@@ -225,6 +225,24 @@ class TestScalarSolver:
         assert traj.blowup_time == pytest.approx(0.1)
         assert np.all(np.isfinite(traj.values))
 
+    @pytest.mark.parametrize("beta", [1.0, 0.9])
+    def test_non_finite_rhs_ends_the_solve_before_the_history(self, monkeypatch, beta):
+        # x_1 < 1.15 < x_2 at both orders: rhs(x_2) is inf, and the solve ends at t_3
+        pushed, args = [], []
+        push = fractional.VolterraHistory.push
+        monkeypatch.setattr(fractional.VolterraHistory, "push",
+                            lambda hist, g: pushed.append(g) or push(hist, g))
+
+        def rhs(x):
+            args.append(type(x))
+            return math.inf if x > 1.15 else 1.0
+
+        traj = solve_caputo_scalar_ode(rhs, beta, 1.0, 0.1, 1.0, 1e6)
+        assert traj.blew_up and traj.blowup_time == pytest.approx(0.3)
+        assert len(traj.values) == 3 and np.all(np.isfinite(traj.values))
+        assert args == [float] * 3
+        assert pushed == ([] if beta == 1.0 else [1.0, 1.0])
+
     def test_threshold_must_exceed_initial(self):
         with pytest.raises(InvalidParameterError):
             solve_caputo_scalar_ode(lambda x: -x, 1.0, 2.0, 0.1, 1.0, blowup_threshold=1.0)
