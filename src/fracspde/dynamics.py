@@ -782,7 +782,8 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
     u = np.repeat(u0[None], B, axis=0)  # the members' blocks, updated in place
     # per member: the time, l2, hs, hneg_gamma, mean and cutoff of each recorded step,
     # a row of floats packed into a flat buffer (no numpy call per step); the
-    # record's arrays are views of the columns of its first n_rec rows, not a copy
+    # record's arrays are views of the columns of its first n_rec rows, or of a
+    # copy of them when they are at most a quarter of the table
     runs = [SimpleNamespace(cfg=c, rows=memoryview(np.empty((steps + 1, 6))), snapshots=[],
                             n_rec=steps + 1, blowup_time=None, u=blk, flat=blk.reshape(-1),
                             hist=None if classical else VolterraHistory(c_hist, u0.size))
@@ -847,7 +848,10 @@ def integrate_batch(cfgs: List[SimConfig], run_index: int = 0) -> List[Trajector
 
     records = []
     for run in runs:
-        times, l2, hs, hneg, mean, cut = np.asarray(run.rows)[:run.n_rec].T
+        table = np.asarray(run.rows)[:run.n_rec]
+        if 4 * run.n_rec <= steps + 1:  # an early blow-up does not keep the whole table alive
+            table = table.copy()
+        times, l2, hs, hneg, mean, cut = table.T
         records.append(TrajectoryRecord(
             times=times,
             l2=l2,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,6 +20,9 @@ from .errors import InvalidParameterError, OutOfRangeError, ShapeError
 
 #: largest |z| for which mittag_leffler() is validated; beyond it we refuse.
 ML_VALIDATED_RANGE = 20.0
+
+#: most series terms mittag_leffler() sums; a longer series is refused.
+ML_MAX_TERMS = 3_000
 
 #: default blow-up threshold for scalar solves.
 DEFAULT_BLOWUP_THRESHOLD = 1.0e6
@@ -202,74 +204,67 @@ class VolterraHistory:
         return out.view(np.complex128)
 
 
-@lru_cache(maxsize=64)
-def _ml_recip_gammas(alpha: float, gamma_par: float, n_terms: int, dps: int):
-    """Cached 1/Gamma(alpha*k + gamma) table used by the series evaluator.
-
-    The argument alpha*k + gamma is formed in extended precision: forming it
-    in doubles perturbs Gamma by ~1e-14 relative, which the alternating
-    series amplifies by the largest term magnitude.
-    """
-    import mpmath  # only the series needs it: importing it costs ~20 ms
-
-    with mpmath.workdps(dps):
-        a = mpmath.mpf(alpha)
-        g = mpmath.mpf(gamma_par)
-        return tuple(mpmath.rgamma(a * k + g) for k in range(n_terms))
-
-
 def mittag_leffler(alpha: float, gamma_par: float, z: float) -> float:
     """Two-parameter Mittag-Leffler function E_{alpha,gamma}(z).
 
-    Sums the defining series sum_k z^k / Gamma(alpha*k + gamma) in adaptive
-    extended precision, so alternating cancellation for z < 0 cannot poison
-    the double-precision result.  Validated for |z| <= ML_VALIDATED_RANGE;
-    larger arguments raise OutOfRangeError instead of returning a silently
-    inaccurate value.
+    Sums the defining series sum_k z^k / Gamma(alpha*k + gamma) in extended
+    precision, sized by the log-magnitude of its terms,
+    L(k) = k ln|z| - lgamma(alpha*k + gamma), which is concave in k.  The
+    working precision is the digits by which the peak term stands above the
+    result, plus 30 guard digits; the series stops at the first term past the
+    peak that falls below that precision.  The result's size is first taken
+    as 1, then read from the sum, which is summed again when it keeps fewer
+    than 24 of the result's digits.  |z| > ML_VALIDATED_RANGE and a series
+    of more than ML_MAX_TERMS terms raise OutOfRangeError instead of
+    returning an inaccurate value.  Within both, the value stays below
+    e^600, inside the float range.
     """
     alpha = float(alpha)
     gamma_par = float(gamma_par)
     z = float(z)
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise InvalidParameterError(f"alpha must be positive, got {alpha}")
-    if not (math.isfinite(gamma_par) and gamma_par > 0.0):
-        raise InvalidParameterError(f"gamma must be positive, got {gamma_par}")
+    # up to 1e10, L(k) below is good to 1e-4 in doubles for every k <= ML_MAX_TERMS
+    if not 0.0 < alpha <= 1e10:
+        raise InvalidParameterError(f"alpha must lie in (0, 1e10], got {alpha}")
+    if not 0.0 < gamma_par <= 1e10:
+        raise InvalidParameterError(f"gamma must lie in (0, 1e10], got {gamma_par}")
     if not math.isfinite(z) or abs(z) > ML_VALIDATED_RANGE:
         raise OutOfRangeError(
             f"|z| = {abs(z)} outside the validated range [0, {ML_VALIDATED_RANGE}]"
         )
+    import mpmath  # only the series needs it: importing it costs ~20 ms
 
-    # Worst-case intermediate term magnitude grows roughly like exp(c*|z|);
-    # 2.5 digits per unit of |z| on top of a 30-digit base is comfortably
-    # beyond the loss observed at the range boundary.
-    dps = 30 + int(2.5 * abs(z))
-    # Terms decay once alpha*k outruns |z|^(1/alpha); the bound below is
-    # generous for the validated range.
-    n_terms = 64 + int(8.0 * (abs(z) ** (1.0 / alpha)) / max(alpha, 0.25))
-    rg = _ml_recip_gammas(alpha, gamma_par, n_terms, dps)
-    import mpmath
+    if z == 0.0:
+        return float(mpmath.rgamma(gamma_par))
+    ln_z, ln_10 = math.log(abs(z)), math.log(10.0)
 
-    with mpmath.workdps(dps):
-        zz = mpmath.mpf(z)
-        total = mpmath.mpf(0)
-        power = mpmath.mpf(1)
-        tail_tol = mpmath.mpf(10) ** (-(dps - 5))
-        small_run = 0
-        for k in range(n_terms):
-            term = power * rg[k]
-            total += term
-            power *= zz
-            if abs(term) < tail_tol * (1 + abs(total)):
-                small_run += 1
-                if small_run >= 3:
-                    break
-            else:
-                small_run = 0
-        else:
+    def log_term(k):
+        return k * ln_z - math.lgamma(alpha * k + gamma_par)
+
+    top = 0
+    while top <= ML_MAX_TERMS and log_term(top + 1) >= log_term(top):
+        top += 1
+    peak = log_term(top)
+    digits = 30 + max(peak, 0.0) / ln_10  # the result first taken as 1 in size
+    while True:
+        n_terms = top + 1
+        while n_terms <= ML_MAX_TERMS and log_term(n_terms) >= peak - digits * ln_10:
+            n_terms += 1
+        if n_terms > ML_MAX_TERMS:
             raise OutOfRangeError(
-                f"Mittag-Leffler series did not converge within {n_terms} terms"
+                f"E_{{{alpha:g},{gamma_par:g}}}({z:g}) needs more than "
+                f"ML_MAX_TERMS = {ML_MAX_TERMS} series terms"
             )
-        return float(total)
+        with mpmath.workdps(math.ceil(digits)):
+            # alpha*k + gamma in doubles would perturb Gamma by ~1e-14 relative,
+            # which the cancellation amplifies by the peak term's size
+            a, g, zz = mpmath.mpf(alpha), mpmath.mpf(gamma_par), mpmath.mpf(z)
+            total = mpmath.fsum(zz**k * mpmath.rgamma(a * k + g) for k in range(n_terms))
+            log_total = float(mpmath.log(abs(total)))
+        lost = (peak - log_total) / ln_10  # digits by which the peak stands above the result
+        if digits >= 24 + lost:  # 17 for the float, 7 for the rounding of the terms and the tail
+            break
+        digits = 30 + lost
+    return float(total)
 
 
 @dataclass(frozen=True)

@@ -135,10 +135,6 @@ def hermitian_block(half: np.ndarray) -> np.ndarray:
     return out
 
 
-def zeros(d: int, M: int) -> SpectralField:
-    return SpectralField(d, M, np.zeros((2 * M + 1,) * d, dtype=np.complex128))
-
-
 def constant(d: int, M: int, value: float) -> SpectralField:
     arr = np.zeros((2 * M + 1,) * d, dtype=np.complex128)
     arr[(M,) * d] = value
@@ -189,42 +185,12 @@ def l2_inner(f: SpectralField, g: SpectralField) -> float:
     return float(np.sum(f.coeffs * np.conj(g.coeffs)).real)
 
 
-def frac_laplacian_apply(f: SpectralField, s: float) -> SpectralField:
-    """Apply -(-Laplace)^s, the Fourier multiplier -(4 pi^2 |k|^2)^s."""
-    if s < 1.0:
-        raise InvalidParameterError(f"fractional Laplacian order s must be >= 1, got {s}")
-    ksq = _ksq_grid(f.d, f.M)
-    mult = np.where(ksq > 0.0, -((4.0 * np.pi**2 * ksq) ** s), 0.0)
-    return SpectralField(f.d, f.M, f.coeffs * mult)
-
-
-def laplacian_inverse(f: SpectralField) -> SpectralField:
-    """Solve -Laplace c = f - mean(f); the k = 0 mode of the input is ignored."""
-    ksq = _ksq_grid(f.d, f.M)
-    denom = np.where(ksq > 0.0, 4.0 * np.pi**2 * ksq, 1.0)
-    out = f.coeffs / denom
-    out[(f.M,) * f.d] = 0.0
-    return SpectralField(f.d, f.M, out)
-
-
 def gradient(f: SpectralField) -> Tuple[SpectralField, ...]:
     """Spectral gradient; component j carries the multiplier 2 pi i k_j."""
     grids = _mode_grids(f.d, f.M)
     return tuple(
         SpectralField(f.d, f.M, TWO_PI * 1j * g * f.coeffs) for g in grids
     )
-
-
-def project_modes(f: SpectralField, M_new: int) -> SpectralField:
-    """Zero every coefficient with ||k||_inf > M_new (Galerkin projection)."""
-    if M_new < 0:
-        raise InvalidParameterError(f"projection cutoff must be >= 0, got {M_new}")
-    if M_new >= f.M:
-        return f
-    out = np.zeros_like(f.coeffs)
-    sl = tuple(slice(f.M - M_new, f.M + M_new + 1) for _ in range(f.d))
-    out[sl] = f.coeffs[sl]
-    return SpectralField(f.d, f.M, out)
 
 
 def grid_resolution(M: int, dealias: bool = True) -> int:

@@ -38,6 +38,14 @@ at a time; spectral.canonical_half_modes must reproduce it bitwise.
 mode_pair, homogeneous_seminorm and theta_from_support build the test
 fields, the homogeneous seminorm the tests measure them by, and a theta
 sequence from its full two-sided support.
+
+frac_laplacian_apply, laplacian_inverse and project_modes are the Fourier
+multipliers -(-Laplace)^s and (-Laplace)^-1 and the Galerkin projection on
+whole coefficient blocks: the oracles of the Ito corrector and of the
+Keller-Segel drift.
+
+mittag_leffler_series sums the Mittag-Leffler series at a given precision
+and length, the oracle of fractional.mittag_leffler.
 """
 
 import math
@@ -364,3 +372,42 @@ def theta_from_support(d, modes, values):
         half_modes=np.array(reps, dtype=np.int64),
         half_values=np.array([half[r] for r in reps]),
     )
+
+
+def frac_laplacian_apply(f, s):
+    """Apply -(-Laplace)^s, the Fourier multiplier -(4 pi^2 |k|^2)^s."""
+    if s < 1.0:
+        raise InvalidParameterError(f"fractional Laplacian order s must be >= 1, got {s}")
+    ksq = sp._ksq_grid(f.d, f.M)
+    mult = np.where(ksq > 0.0, -((4.0 * np.pi**2 * ksq) ** s), 0.0)
+    return SpectralField(f.d, f.M, f.coeffs * mult)
+
+
+def laplacian_inverse(f):
+    """Solve -Laplace c = f - mean(f); the k = 0 mode of the input is ignored."""
+    ksq = sp._ksq_grid(f.d, f.M)
+    denom = np.where(ksq > 0.0, 4.0 * np.pi**2 * ksq, 1.0)
+    out = f.coeffs / denom
+    out[(f.M,) * f.d] = 0.0
+    return SpectralField(f.d, f.M, out)
+
+
+def project_modes(f, M_new):
+    """Zero every coefficient with ||k||_inf > M_new (Galerkin projection)."""
+    if M_new < 0:
+        raise InvalidParameterError(f"projection cutoff must be >= 0, got {M_new}")
+    if M_new >= f.M:
+        return f
+    out = np.zeros_like(f.coeffs)
+    sl = tuple(slice(f.M - M_new, f.M + M_new + 1) for _ in range(f.d))
+    out[sl] = f.coeffs[sl]
+    return SpectralField(f.d, f.M, out)
+
+
+def mittag_leffler_series(alpha, gamma_par, z, dps, n_terms):
+    """sum_{k < n_terms} z^k / Gamma(alpha*k + gamma), summed at dps digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a, g, zz = mpmath.mpf(alpha), mpmath.mpf(gamma_par), mpmath.mpf(z)
+        return float(mpmath.fsum(zz**k * mpmath.rgamma(a * k + g) for k in range(n_terms)))

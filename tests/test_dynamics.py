@@ -15,7 +15,7 @@ from fracspde.fractional import (
     _EXACT_LAGS, _FOLD_BLOCK, _TAIL_TOL, kernel_increments, mittag_leffler,
 )
 
-from _reference import mode_pair
+from _reference import laplacian_inverse, mode_pair
 
 
 def make_cfg(**over):
@@ -60,7 +60,7 @@ class TestZeta:
         assert np.max(np.abs(off)) <= 1e-13
 
     def test_fisher_on_zero(self):
-        z = dyn.zeta_fisher(sp.zeros(2, 4))
+        z = dyn.zeta_fisher(sp.constant(2, 4, 0.0))
         assert np.all(z.coeffs == 0.0)
 
     def test_fisher_trig_identity(self):
@@ -118,7 +118,7 @@ def _dense_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _brute_force_keller_segel(rho: sp.SpectralField) -> np.ndarray:
     """Dense convolution reference for -div(rho grad((-Lap)^-1(rho - mean)))."""
-    pot = sp.laplacian_inverse(rho)
+    pot = laplacian_inverse(rho)
     out = np.zeros_like(rho.coeffs)
     for ax, gpot in enumerate(sp.gradient(pot)):
         flux = _dense_product(rho.coeffs, gpot.coeffs)
@@ -591,6 +591,19 @@ class TestBatch:
         assert peak - table < table
         assert rec.l2.strides == (48,) and rec.times.base.nbytes == table
 
+    def test_early_blow_up_copies_its_rows(self):
+        # Fisher at mean 30 blows up at step 333: of 20 001 rows its record holds
+        # a copy of 334, while at 401 rows (more than a quarter) it keeps the views
+        cfg = make_cfg(M=2, S=1e7, dt=1e-4, t_end=2.0, zeta="fisher",
+                       init={"mean": 30.0, "delta0": 6.5})
+        rec, short = dyn.integrate(cfg), dyn.integrate(replace(cfg, t_end=0.04))
+        assert rec.blew_up and len(rec.times) == len(short.times) == 334
+        assert rec.times.base.nbytes == 334 * 48 and short.times.base.nbytes == 401 * 48
+        for name in ("times", "l2", "hs", "hneg_gamma", "mean", "cutoff"):
+            a, b = getattr(rec, name), getattr(short, name)
+            assert a.base is rec.times.base and a.tobytes() == b.tobytes(), name
+        assert rec.blowup_time == short.blowup_time
+
     def test_refuses_configs_that_differ_in_more_than_the_noise(self):
         cfg = make_cfg(M=4, b=1.0, noise_N=2)
         for other in (replace(cfg, b=2.0), replace(cfg, noise_N=6), replace(cfg, noise_N=0, b=0.0)):
@@ -622,7 +635,7 @@ class TestDrift:
     def test_field_off_the_config_modes_refused(self):
         cfg = make_cfg(zeta="fisher")
         with pytest.raises(ShapeError, match=r"\(2, 6\).*\(2, 4\)"):
-            dyn.drift(sp.zeros(2, 6), cfg)
+            dyn.drift(sp.constant(2, 6, 0.0), cfg)
 
 
 class TestConfigValidation:

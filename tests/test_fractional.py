@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -180,12 +181,81 @@ class TestMittagLeffler:
             mittag_leffler(0.0, 1.0, 1.0)
         with pytest.raises(InvalidParameterError):
             mittag_leffler(1.0, -1.0, 1.0)
+        # past 1e10 the doubles that size the series lose whole units of L(k):
+        # at gamma = 1.63e85 the peak read 1.9e71 digits above E, and mpmath overflowed
+        for alpha, gamma_par in ((1e11, 1.0), (1.0, 1.6e85), (math.nan, 1.0), (1.0, math.inf)):
+            with pytest.raises(InvalidParameterError):
+                mittag_leffler(alpha, gamma_par, 12.0)
 
     def test_out_of_range_refuses(self):
         with pytest.raises(OutOfRangeError):
             mittag_leffler(0.8, 1.0, 25.0)
         with pytest.raises(OutOfRangeError):
             mittag_leffler(0.8, 1.0, -25.0)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.4, 0.5, 0.6, 0.75, 0.9, 1.0, 1.5, 2.0])
+    def test_grid_matches_twice_the_precision_and_length(self, monkeypatch, alpha):
+        # every value equals the series summed again at twice the digits and the
+        # terms mittag_leffler used, or is refused by name; at alpha <= 0.5 only
+        # gamma = 1 is run, as each of those references takes up to 2 s
+        import mpmath
+
+        from _reference import mittag_leffler_series
+
+        workdps, rgamma, used, cases = mpmath.workdps, mpmath.rgamma, {}, []
+        monkeypatch.setattr(mpmath, "workdps",
+                            lambda n: used.update(dps=max(n, used["dps"])) or workdps(n))
+        monkeypatch.setattr(mpmath, "rgamma",
+                            lambda x: used.update(n=used["n"] + 1) or rgamma(x))
+        for g in (1.0,) if alpha <= 0.5 else (0.5, 1.0, 2.0):
+            for z in (20.0, -20.0, -15.0, -10.0, -5.0, -1.0, 0.5, 5.0, 0.0):
+                used.update(dps=mpmath.mp.dps, n=0)
+                try:
+                    cases.append((g, z, mittag_leffler(alpha, g, z), used["dps"], used["n"]))
+                except OutOfRangeError as exc:
+                    assert f"{fractional.ML_MAX_TERMS} series terms" in str(exc)
+        monkeypatch.undo()
+        assert cases
+        for g, z, value, dps, n in cases:
+            ref = mittag_leffler_series(alpha, g, z, 2 * dps, 2 * n)
+            assert value == pytest.approx(ref, rel=1e-12, abs=0.0), (g, z)
+
+    @pytest.mark.parametrize("z,value", [(-15.0, 0.037529606388505766),
+                                         (-20.0, 0.028174348741051319)])
+    def test_half_order_closed_form(self, z, value):
+        # E_{1/2}(z) = e^{z^2} erfc(-z), which the series cancels down to from 1e96 and 1e172
+        import mpmath
+
+        with mpmath.workdps(50):
+            exact = float(mpmath.exp(z * z) * mpmath.erfc(-z))
+        assert exact == pytest.approx(value, rel=1e-15)
+        assert mittag_leffler(0.5, 1.0, z) == exact
+
+    @pytest.mark.parametrize("gamma_par,x", [(1.0, (math.pi / 2) ** 2), (2.0, math.pi**2)])
+    def test_next_to_a_zero_summed_again(self, gamma_par, x):
+        # E_{2,1}(-x) = cos(sqrt x) and E_{2,2}(-x) = sin(sqrt x)/sqrt x read 5e-17 and
+        # 3e-17 next to their zeros: the first pass keeps too few of their digits
+        import mpmath
+
+        with mpmath.workdps(60):
+            s = mpmath.sqrt(x)
+            exact = float(mpmath.cos(s) if gamma_par == 1.0 else mpmath.sin(s) / s)
+        assert 0.0 < abs(exact) < 1e-16
+        assert mittag_leffler(2.0, gamma_par, -x) == exact
+
+    def test_small_order_near_the_origin(self):
+        # 95 terms: more than the 90 that a budget of 64 + 8|z|^(1/alpha)/alpha allows
+        assert mittag_leffler(0.3, 1.0, -1.0) == pytest.approx(0.45659440832969067, rel=1e-15)
+
+    @pytest.mark.parametrize("alpha", ["0.2", "1e-300"])
+    def test_long_series_refused_at_once(self, capsys, alpha):
+        from fracspde import cli
+
+        start = time.perf_counter()
+        assert cli.main(["ml", alpha, "1", "20"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"more than ML_MAX_TERMS = {fractional.ML_MAX_TERMS} series terms" in (
+            capsys.readouterr().err)
 
 
 class TestScalarSolver:
